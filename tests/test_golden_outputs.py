@@ -1,0 +1,161 @@
+"""Pinned seeded outputs of everything that plays Connect Four games.
+
+Every item below is produced from fixed seeds on a small untrained
+network and compared against a value recorded once. Reruns of the same
+code already agree with themselves (the per-module tests check that);
+these pins catch a refactor that changes the random stream, the tally
+rules or the bytes of a written file. Digests are sha256 over a
+canonical text or byte rendering of the output.
+"""
+
+import hashlib
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from c4xai import charfn, engine, fwmask, harness, mcts, network, training
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha(path) -> str:
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
+def transitions_digest(transitions) -> str:
+    h = hashlib.sha256()
+    for tr in transitions:
+        h.update(np.ascontiguousarray(tr.state).tobytes())
+        h.update(repr((tr.action, tr.prob, tr.value, tr.reward, tr.done, tr.ret, tr.player)).encode())
+    return h.hexdigest()
+
+
+def episodes(params, seed, n=6):
+    config = training.PPOConfig(conv_channels=8, p_h_max=0.5)
+    rng = np.random.default_rng(seed)
+    out = [training.self_play_episode(params, config, rng) for _ in range(n)]
+    return (transitions_digest([tr for ep in out for tr in ep]), [len(ep) for ep in out])
+
+
+def _outputs(tmp_path) -> dict:
+    params = network.init(network.ArchDescriptor(conv_channels=8), np.random.default_rng(3))
+    out = {}
+
+    out["self_play_f32"] = episodes(params, 11)
+    out["self_play_f64"] = episodes(params.astype(np.float64), 12)
+
+    cfg = training.PPOConfig(
+        conv_channels=8, total_games=20, update_every=10, checkpoint_every=10, seed=3
+    )
+    res = training.train(cfg, tmp_path / "train")
+    out["train"] = (
+        file_sha(res.checkpoint_path),
+        file_sha(tmp_path / "train" / "checkpoint_g10.ckpt"),
+        file_sha(res.log_path),
+    )
+
+    cases = harness.harvest_ground_truth(
+        params, n_cases=3, rng=np.random.default_rng(12), confidence=0.0
+    )
+    out["harvest"] = sha(
+        repr(
+            [
+                (c.board.history, c.winning_move, sorted(c.cells), c.confidence)
+                for c in cases
+            ]
+        )
+    )
+
+    out["match_sampling"] = astuple(
+        harness.play_match("gradient", "random", params, 6, fraction=0.5, seed=5)
+    )
+    out["match_competitive"] = astuple(
+        harness.play_match("input", "lrp_eps", params, 4, seed=6, competitive=True)
+    )
+
+    rr = harness.round_robin(("random", "gradient", "input"), params, 2, seed=2)
+    out["round_robin_csv"] = file_sha(rr.to_csv(tmp_path / "rr.csv"))
+
+    oracle = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=10))
+    for name, opponent in (
+        ("self", "self"),
+        ("random", "random"),
+        ("mcts", ("mcts", 10)),
+        ("oracle", oracle),
+    ):
+        rows = harness.info_perf_curve(
+            params, "random", opponent, fractions=[0.0, 0.5, 1.0], n_games=3, seed=7
+        )
+        out[f"curve_{name}"] = sha(repr(rows))
+    out["curve_csv"] = file_sha(harness.curve_to_csv(rows, tmp_path / "curve.csv"))
+
+    stats = harness.play_vs_random(params, 6, seed=4)
+    out["play_vs_random"] = (stats.wins, stats.draws, stats.losses, stats.illegal, stats.n_games)
+    stats = mcts.benchmark(params, mcts.MCTSConfig(simulations=10), 4, seed=6)
+    out["benchmark"] = astuple(stats)
+
+    out["oracle_game"] = tuple(
+        mcts.play_oracle_game(mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=20)))
+    )
+
+    board = engine.replay([3, 3, 4, 2, 2, 4, 5, 1])
+    phi = charfn.partial_shapley(
+        charfn.nu_pol(params, board), 0.5, 20, np.random.default_rng(9), epsilon=0.2, delta=0.1
+    )
+    out["shapley_csv"] = file_sha(phi.to_csv(tmp_path / "phi.csv", extra_meta={"board": "b1"}))
+    fw = fwmask.fw_optimize(params, board, fwmask.FWConfig(k=3, iterations=10))
+    out["fw_csv"] = file_sha(
+        fwmask.result_to_csv(fw, tmp_path / "fw.csv", extra_meta={"board": "b1"})
+    )
+    return out
+
+
+GOLDEN = {
+    "benchmark": (1, 0, 0, 3, 4, (3153149895, 4186225163, 103425314, 3709245926)),
+    "curve_csv": "57733176b72f4c60841f5d094f3e3f78c3cc6e8b9090809ea56b545a31b03b86",
+    "curve_mcts": "ff6c818c9ef3cefc744bc8a1930c8b342551b23ab43fde7e3b4faf6107b9a13c",
+    "curve_oracle": "d79bc2f6a5067c8eb52182bd0bacd52a2ae327628a8a2af0af1883e66e80309e",
+    "curve_random": "a3b77d756779ee492c78274448ff9428340d4ffbe73ca259c3295b4e5b96e5ce",
+    "curve_self": "5e3e20988a96e743ba483a11141788314d31766e1b634f51cab572934c6a4218",
+    "fw_csv": "0b72e144933513bd57bb69378bb91403ead2360e6f3057d9cf4f9386affda802",
+    "harvest": "164e93406c67d47b16d4330a99ebd95a8c7e007c00df30a105d5986043e001f9",
+    "match_competitive": ("input", "lrp_eps", 2, 2, 0, 2, 2, 4, 0.5, 6),
+    "match_sampling": ("gradient", "random", 2, 4, 0, 1, 0, 6, 0.5, 5),
+    "oracle_game": (2, 3, 1, 3, 4, 6, 1, 4, 0, 2, 2, 1, 3, 4, 3),
+    "play_vs_random": (4, 0, 0, 2, 6),
+    "round_robin_csv": "faeb69c6c49064ff36bdcba1817160b1d1fb1a4d2558bdc2ddcd4c695fc7c2ea",
+    "self_play_f32": (
+        "e8437fa792c7e4827fbc2fbcb6495367aa30a05f488e6657792f8a8969fbb8a3",
+        [21, 23, 21, 13, 21, 20],
+    ),
+    "self_play_f64": (
+        "3afd719e45c1093d85be1018a491923478cf7f6fe965732c8685f3eb1db47867",
+        [19, 1, 9, 1, 1, 17],
+    ),
+    "shapley_csv": "4e38080332321054bee649191ae0e0f64df6cdb128ac28606e093301debf1865",
+    "train": (
+        "28e2645b1d1122bcc7d16cebd4c9876b0b4f844388218240be5091c317e310ac",
+        "fa175775b3b921fae3b65c99f3c9e223f1df60a82c0b7b28feeec14fd3923ffc",
+        "ef085d916ca5c9e544795eb6121f19e24ab4c36c42eb86f07744d635db608a17",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_output_is_pinned(outputs, name):
+    assert outputs[name] == GOLDEN[name]
+
+
+def test_every_output_is_pinned(outputs):
+    assert sorted(outputs) == sorted(GOLDEN)
