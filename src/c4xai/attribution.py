@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -45,10 +45,6 @@ class SaliencyMap:
     def __post_init__(self):
         if not np.isfinite(self.scores).all():
             raise AttributionError(f"non-finite saliency from {self.method}")
-
-
-def board_hash(board: engine.BoardState) -> str:
-    return hashlib.sha256(board.key()).hexdigest()[:16]
 
 
 def _full_trace(params, board):
@@ -296,7 +292,6 @@ class MethodSpec:
     name: str
     scorer: Callable  # (params, board, rng, fraction, opts) -> {cell: score}
     fraction_override: Optional[float] = None
-    default_opts: dict = field(default_factory=dict)
 
 
 def _map_scorer(method_name):
@@ -336,8 +331,7 @@ def _fw_scorer(params, board, rng, fraction, opts):
         iterations=opts.get("iterations", 50),
         step_rule=opts.get("step_rule", "agnostic"),
     )
-    result = fwmask.fw_optimize(params, board, cfg)
-    return {cell: float(result.mask[cell[0], cell[1]]) for cell in board.occupied_cells()}
+    return fwmask.mask_piece_scores(fwmask.fw_optimize(params, board, cfg).mask, board)
 
 
 METHODS: Dict[str, MethodSpec] = {
@@ -356,11 +350,8 @@ def _resolve(method: str, fraction: float, opts: Optional[dict]):
     spec = METHODS.get(method)
     if spec is None:
         raise UnknownMethod(f"{method!r}; registered: {method_names()}")
-    merged = dict(spec.default_opts)
-    if opts:
-        merged.update(opts)
     frac = spec.fraction_override if spec.fraction_override is not None else fraction
-    return spec, frac, merged
+    return spec, frac, opts or {}
 
 
 def piece_scores(
@@ -371,8 +362,8 @@ def piece_scores(
     fraction: float = 0.5,
     opts: Optional[dict] = None,
 ) -> dict:
-    spec, frac, merged = _resolve(method, fraction, opts)
-    return spec.scorer(params, board, rng, frac, merged)
+    spec, frac, opts = _resolve(method, fraction, opts)
+    return spec.scorer(params, board, rng, frac, opts)
 
 
 def select_features(
@@ -384,8 +375,8 @@ def select_features(
     opts: Optional[dict] = None,
 ) -> frozenset:
     """The masker pipeline up to the coalition: score, then select."""
-    spec, frac, merged = _resolve(method, fraction, opts)
-    scores = spec.scorer(params, board, rng, frac, merged)
+    spec, frac, opts = _resolve(method, fraction, opts)
+    scores = spec.scorer(params, board, rng, frac, opts)
     return select_top(scores, frac, rng)
 
 

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import engine, network
+from .csvio import write_csv
 
 EXACT_LIMIT = 12  # 2^t coalition table guard
 PERM_LIMIT = 8  # t! enumeration guard
@@ -146,16 +147,9 @@ class ShapleyResult:
             "delta": self.delta,
         }
         meta.update(self.meta)
-        if extra_meta:
-            meta.update(extra_meta)
-        with open(path, "w", newline="") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key}={json.dumps(meta[key])}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "phi"])
-            for (row, col), phi in zip(self.features, self.values):
-                writer.writerow([row, col, repr(float(phi))])
-        return str(path)
+        meta.update(extra_meta or {})
+        rows = ([row, col, repr(float(phi))] for (row, col), phi in zip(self.features, self.values))
+        return write_csv(path, ["row", "col", "phi"], rows, meta)
 
 
 def read_shapley_csv(path) -> ShapleyResult:

@@ -25,15 +25,6 @@ def _add_common(p, checkpoint=True):
         p.add_argument("--checkpoint", required=True, help="network checkpoint file")
     p.add_argument("--out", default=None, help="output file or directory")
     p.add_argument("--workers", type=int, default=1, help="parallel game workers")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force a single worker (results are seed-stable either way)",
-    )
-
-
-def _workers(args):
-    return 1 if getattr(args, "deterministic", False) else max(1, args.workers)
 
 
 def _load_board(args) -> engine.BoardState:
@@ -211,7 +202,7 @@ def cmd_curves(args) -> int:
             fractions,
             args.games,
             seed=args.seed,
-            workers=_workers(args),
+            workers=args.workers,
         )
     finally:
         if oracle is not None:
@@ -237,7 +228,7 @@ def cmd_tournament(args) -> int:
         args.games_per_pair,
         fraction=args.fraction,
         seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
     )
     out = args.out or "tournament.csv"
     result.to_csv(out)

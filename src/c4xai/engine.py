@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -116,6 +116,10 @@ def new_board() -> BoardState:
     return BoardState()
 
 
+def other(colour: int) -> int:
+    return BLUE if colour == RED else RED
+
+
 def apply_move(board: BoardState, column: int) -> BoardState:
     """Drop the mover's piece into ``column``; returns the new position."""
     if not isinstance(column, (int, np.integer)) or isinstance(column, bool):
@@ -129,7 +133,7 @@ def apply_move(board: BoardState, column: int) -> BoardState:
     cells[row][column] = board.to_move
     return BoardState(
         cells=tuple(tuple(r) for r in cells),
-        to_move=BLUE if board.to_move == RED else RED,
+        to_move=other(board.to_move),
         history=board.history + ((column, board.to_move),),
     )
 
@@ -167,7 +171,7 @@ def outcome(board: BoardState) -> Outcome:
     blue_line = _lines_through(board.cells, BLUE)
     if red_line and blue_line:
         # unreachable through legal play; favour the side that moved last
-        last = RED if board.to_move == BLUE else BLUE
+        last = other(board.to_move)
         line = red_line if last == RED else blue_line
         return Outcome(_WIN_KIND[last], frozenset(line))
     if red_line:
@@ -177,6 +181,40 @@ def outcome(board: BoardState) -> Outcome:
     if board.turn == ROWS * COLS:
         return Outcome(DRAW)
     return Outcome(ONGOING)
+
+
+# ---------------------------------------------------------------------------
+# Game runner: every game in the package is played through ``play``.
+# ---------------------------------------------------------------------------
+
+def play(movers: Mapping[int, Callable]) -> tuple:
+    """Play one game from the empty board.
+
+    ``movers`` maps RED and BLUE to ``board -> column`` functions. A
+    column outside ``board.legal_moves()`` ends the game before it is
+    applied. Returns (final board, its Outcome, offending colour or
+    None); the column record is ``final.history`` and the game length
+    ``final.turn``.
+    """
+    board = new_board()
+    while True:
+        out = outcome(board)
+        if out.is_terminal:
+            return board, out, None
+        col = movers[board.to_move](board)
+        if col not in board.legal_moves():
+            return board, out, board.to_move
+        board = apply_move(board, col)
+
+
+def result_for(out: Outcome, offender: Optional[int], colour: int) -> str:
+    """'win', 'draw', 'loss' or 'illegal' for the player of ``colour``
+    after ``play``; the opponent's illegal move counts as a win."""
+    if offender is not None:
+        return "illegal" if offender == colour else "win"
+    if out.kind == DRAW:
+        return "draw"
+    return "win" if out.kind == _WIN_KIND[colour] else "loss"
 
 
 def encode(

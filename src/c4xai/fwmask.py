@@ -10,14 +10,13 @@ entries mark the pieces that matter for the decision.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import engine, network
+from .csvio import write_csv
 
 N_CELLS = engine.ROWS * engine.COLS
 
@@ -191,6 +190,11 @@ def fw_optimize(
     )
 
 
+def mask_piece_scores(mask: np.ndarray, board: engine.BoardState) -> dict:
+    """The mask entries of the occupied cells, keyed by (row, col)."""
+    return {(row, col): float(mask[row, col]) for row, col in board.occupied_cells()}
+
+
 def fw_saliency(
     params: network.NetworkParams,
     board: engine.BoardState,
@@ -210,8 +214,7 @@ def fw_saliency(
 
     cfg = config if config is not None else FWConfig(k=k)
     result = fw_optimize(params, board, cfg)
-    occupied = board.occupied_cells()
-    scores = {cell: float(result.mask[cell[0], cell[1]]) for cell in occupied}
+    scores = mask_piece_scores(result.mask, board)
     rng = rng or np.random.default_rng()
     selected = select_top(scores, fraction, rng)
     return result, scores, selected
@@ -219,16 +222,10 @@ def fw_saliency(
 
 def result_to_csv(result: FWResult, path, extra_meta: Optional[dict] = None) -> str:
     """Per-board record: metadata lines, then one row per cell."""
-    meta = dict(result.meta)
-    meta["final_distortion"] = result.distortion
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={json.dumps(meta[key])}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "mask"])
-        for row in range(engine.ROWS):
-            for col in range(engine.COLS):
-                writer.writerow([row, col, repr(float(result.mask[row, col]))])
-    return str(path)
+    meta = {**result.meta, "final_distortion": result.distortion, **(extra_meta or {})}
+    rows = (
+        [row, col, repr(float(result.mask[row, col]))]
+        for row in range(engine.ROWS)
+        for col in range(engine.COLS)
+    )
+    return write_csv(path, ["row", "col", "mask"], rows, meta)

@@ -8,23 +8,26 @@ picks its move from the masked view by sampling (non-competitive play).
 Colours alternate between games; an illegal move loses the game for the
 offender and is also tallied separately.
 
-All randomness flows from one root seed through per-game child seeds,
-so results are identical for any worker count and bit-exact on reruns.
+Every game is played by ``engine.play`` and scored per colour by
+``engine.result_for``. All randomness flows from one root seed through
+per-game child seeds, so results are identical for any worker count
+and bit-exact on reruns.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import attribution, engine, mcts, network
+from .csvio import write_csv
 
 
 class HarnessError(Exception):
@@ -65,37 +68,28 @@ def harvest_ground_truth(
     if game_cap is None:
         game_cap = max(200, 60 * n_cases)
     cases = []
+    last = None  # the latest move: (board before it, column, was argmax, probability)
+
+    def move(board):
+        nonlocal last
+        x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
+        policy, _ = network.policy_value(params, x)
+        action = network.sample_action(policy, rng)
+        last = (board, action, action == int(np.argmax(policy)), float(policy[action]))
+        return action
+
     for _ in range(game_cap):
         if len(cases) >= n_cases:
             break
-        board = engine.new_board()
-        last = None  # (board before move, action, argmax flag, confidence)
-        while True:
-            out = engine.outcome(board)
-            if out.is_terminal:
-                if out.kind in (engine.RED_WINS, engine.BLUE_WINS) and last is not None:
-                    pre, action, was_argmax, conf = last
-                    if was_argmax and conf >= confidence:
-                        landing = (pre.column_height(action), action)
-                        cells = frozenset(out.winning_cells) - {landing}
-                        cases.append(
-                            GroundTruthCase(
-                                board=pre,
-                                winning_move=action,
-                                cells=cells,
-                                confidence=conf,
-                            )
-                        )
-                break
-            x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-            policy, _ = network.policy_value(params, x)
-            probs = np.asarray(policy, dtype=np.float64)
-            probs /= probs.sum()
-            action = int(rng.choice(network.N_ACTIONS, p=probs))
-            if board.column_height(action) >= engine.ROWS:
-                break  # illegal self-play move forfeits the game, no case
-            last = (board, action, action == int(np.argmax(policy)), float(policy[action]))
-            board = engine.apply_move(board, action)
+        # an illegal self-play move forfeits the game and gives no case
+        _, out, offender = engine.play({engine.RED: move, engine.BLUE: move})
+        pre, action, was_argmax, conf = last
+        if offender is None and out.kind != engine.DRAW and was_argmax and conf >= confidence:
+            landing = (pre.column_height(action), action)
+            cells = frozenset(out.winning_cells) - {landing}
+            cases.append(
+                GroundTruthCase(board=pre, winning_move=action, cells=cells, confidence=conf)
+            )
     if len(cases) < n_cases:
         raise InsufficientCases(
             f"collected {len(cases)}/{n_cases} cases in {game_cap} games "
@@ -128,64 +122,29 @@ def ground_truth_score(
 
 
 # ---------------------------------------------------------------------------
-# game runners
+# movers and seeded games
 # ---------------------------------------------------------------------------
-
-def _run_game(move_fns: dict):
-    """Play out a game; returns (winner colour or None, illegal offender
-    colour or None, plies played). Draws return (None, None, 42)."""
-    board = engine.new_board()
-    length = 0
-    while True:
-        out = engine.outcome(board)
-        if out.is_terminal:
-            if out.kind == engine.RED_WINS:
-                return engine.RED, None, length
-            if out.kind == engine.BLUE_WINS:
-                return engine.BLUE, None, length
-            return None, None, length
-        mover = board.to_move
-        col = move_fns[mover](board)
-        if col not in board.legal_moves():
-            return None, mover, length
-        board = engine.apply_move(board, col)
-        length += 1
-
 
 def masked_policy_mover(
     params: network.NetworkParams,
-    method: str,
+    method: Optional[str],
     fraction: float,
     rng: np.random.Generator,
     competitive: bool = False,
     opts: Optional[dict] = None,
 ) -> Callable:
-    """The masker/player pipeline as a move function."""
+    """The masker/player pipeline as a move function; ``method`` None
+    plays on the full-information board."""
 
     def move(board):
-        revealed = attribution.select_features(method, params, board, fraction, rng, opts=opts)
+        revealed = None
+        if method is not None:
+            revealed = attribution.select_features(method, params, board, fraction, rng, opts=opts)
         x = engine.encode(board, revealed, perspective=board.to_move, dtype=params.dtype)
         policy, _ = network.policy_value(params, x)
         if competitive:
             return int(np.argmax(policy))
-        probs = np.asarray(policy, dtype=np.float64)
-        probs /= probs.sum()
-        return int(rng.choice(network.N_ACTIONS, p=probs))
-
-    return move
-
-
-def full_info_mover(
-    params: network.NetworkParams, rng: np.random.Generator, competitive: bool = False
-) -> Callable:
-    def move(board):
-        x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-        policy, _ = network.policy_value(params, x)
-        if competitive:
-            return int(np.argmax(policy))
-        probs = np.asarray(policy, dtype=np.float64)
-        probs /= probs.sum()
-        return int(rng.choice(network.N_ACTIONS, p=probs))
+        return network.sample_action(policy, rng)
 
     return move
 
@@ -196,6 +155,32 @@ def random_mover(rng: np.random.Generator) -> Callable:
         return int(legal[int(rng.integers(len(legal)))])
 
     return move
+
+
+def _play_game(job):
+    """One game between the movers ``make_a(rng)`` and ``make_b(rng)``
+    on the game's own rng, A playing red in even-numbered games.
+    Returns (A's result, B's result, game length)."""
+    make_a, make_b, idx, ss = job
+    rng = np.random.default_rng(ss)
+    colour_a = engine.RED if idx % 2 == 0 else engine.BLUE
+    colour_b = engine.other(colour_a)
+    final, out, offender = engine.play({colour_a: make_a(rng), colour_b: make_b(rng)})
+    return (
+        engine.result_for(out, offender, colour_a),
+        engine.result_for(out, offender, colour_b),
+        final.turn,
+    )
+
+
+def _play_games(make_a, make_b, seeds, workers: int) -> list:
+    """``_play_game`` once per seed, in a process pool when workers > 1;
+    results come back in seed order either way."""
+    jobs = [(make_a, make_b, i, ss) for i, ss in enumerate(seeds)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_play_game, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    return [_play_game(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +218,6 @@ class MatchResult:
         return self
 
 
-def _match_game(args):
-    (params, method_a, method_b, fraction, competitive, opts_a, opts_b, idx, ss) = args
-    rng = np.random.default_rng(ss)
-    a_is_red = idx % 2 == 0
-    mover_a = masked_policy_mover(params, method_a, fraction, rng, competitive, opts_a)
-    mover_b = masked_policy_mover(params, method_b, fraction, rng, competitive, opts_b)
-    fns = {engine.RED: mover_a if a_is_red else mover_b, engine.BLUE: mover_b if a_is_red else mover_a}
-    winner, offender, length = _run_game(fns)
-    side_of = {engine.RED: "a" if a_is_red else "b", engine.BLUE: "b" if a_is_red else "a"}
-    if offender is not None:
-        # offender loses: the opponent takes the win
-        return idx, side_of[engine.RED if offender == engine.BLUE else engine.BLUE], side_of[offender], length
-    if winner is None:
-        return idx, "draw", None, length
-    return idx, side_of[winner], None, length
-
-
 def play_match(
     method_a: str,
     method_b: str,
@@ -265,32 +233,39 @@ def play_match(
     """Masker-vs-masker match; method A moves first in ceil(n/2) games."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n_games)
-    jobs = [
-        (params, method_a, method_b, fraction, competitive, opts_a, opts_b, i, ss)
-        for i, ss in enumerate(children)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_match_game, jobs, chunksize=max(1, n_games // (4 * workers))))
-    else:
-        outcomes = [_match_game(j) for j in jobs]
-    result = MatchResult(
-        method_a=method_a, method_b=method_b, n_games=n_games, fraction=fraction, seed=seed
+    make_a, make_b = (
+        partial(masked_policy_mover, params, method, fraction, competitive=competitive, opts=opts)
+        for method, opts in ((method_a, opts_a), (method_b, opts_b))
     )
-    for _, win_side, offender, _ in sorted(outcomes):
-        if win_side == "draw":
-            result.draws += 1
-        elif win_side == "a":
-            result.wins_a += 1
-        else:
-            result.wins_b += 1
-        if offender == "a":
-            result.illegal_a += 1
-        elif offender == "b":
-            result.illegal_b += 1
-    return result.verify()
+    games = _play_games(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games), workers)
+    results_a = [a for a, _, _ in games]
+    results_b = [b for _, b, _ in games]
+    return MatchResult(
+        method_a=method_a,
+        method_b=method_b,
+        wins_a=results_a.count("win"),
+        wins_b=results_b.count("win"),
+        draws=results_a.count("draw"),
+        illegal_a=results_a.count("illegal"),
+        illegal_b=results_b.count("illegal"),
+        n_games=n_games,
+        fraction=fraction,
+        seed=seed,
+    ).verify()
+
+
+MATCH_COLUMNS = (
+    "method_a",
+    "method_b",
+    "wins_a",
+    "wins_b",
+    "draws",
+    "illegal_a",
+    "illegal_b",
+    "score_a",
+    "score_b",
+    "n_games",
+)
 
 
 @dataclass
@@ -307,38 +282,8 @@ class RoundRobinResult:
         return total
 
     def to_csv(self, path) -> str:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "method_a",
-                    "method_b",
-                    "wins_a",
-                    "wins_b",
-                    "draws",
-                    "illegal_a",
-                    "illegal_b",
-                    "score_a",
-                    "score_b",
-                    "n_games",
-                ]
-            )
-            for m in self.matches:
-                writer.writerow(
-                    [
-                        m.method_a,
-                        m.method_b,
-                        m.wins_a,
-                        m.wins_b,
-                        m.draws,
-                        m.illegal_a,
-                        m.illegal_b,
-                        m.score_a,
-                        m.score_b,
-                        m.n_games,
-                    ]
-                )
-        return str(path)
+        rows = ([getattr(m, c) for c in MATCH_COLUMNS] for m in self.matches)
+        return write_csv(path, MATCH_COLUMNS, rows)
 
 
 def round_robin(
@@ -370,7 +315,7 @@ def round_robin(
 
 def _opponent_mover(opponent, params, rng):
     if opponent == "self":
-        return full_info_mover(params, rng)
+        return masked_policy_mover(params, None, 1.0, rng)
     if opponent == "random":
         return random_mover(rng)
     if isinstance(opponent, tuple) and opponent and opponent[0] == "mcts":
@@ -379,26 +324,6 @@ def _opponent_mover(opponent, params, rng):
     if hasattr(opponent, "best_move"):
         return lambda board: opponent.best_move(board)[0]
     raise ValueError(f"unknown opponent {opponent!r}")
-
-
-def _curve_game(args):
-    (params, selector, opponent, fraction, competitive, idx, ss) = args
-    rng = np.random.default_rng(ss)
-    agent_colour = engine.RED if idx % 2 == 0 else engine.BLUE
-    agent = masked_policy_mover(params, selector, fraction, rng, competitive)
-    other = _opponent_mover(opponent, params, rng)
-    fns = {
-        agent_colour: agent,
-        (engine.BLUE if agent_colour == engine.RED else engine.RED): other,
-    }
-    winner, offender, length = _run_game(fns)
-    if offender is not None:
-        tag = "illegal" if offender == agent_colour else "win"
-    elif winner is None:
-        tag = "draw"
-    else:
-        tag = "win" if winner == agent_colour else "loss"
-    return idx, tag, length
 
 
 def info_perf_curve(
@@ -415,44 +340,32 @@ def info_perf_curve(
 
     ``selector`` is any registered method; 'random' reproduces uniform
     random hiding. ``opponent`` is 'self' (full-information twin),
-    'random', ('mcts', sims), or a MoveOracle.
+    'random', ('mcts', sims), or a MoveOracle. An oracle is always
+    played in this process.
     """
+    if hasattr(opponent, "best_move"):
+        workers = 1
+    make_opponent = partial(_opponent_mover, opponent, params)
     rows = []
     for f_idx, fraction in enumerate(fractions):
         # seed keyed on (seed, fraction index): fractions can be re-run singly
-        children = np.random.SeedSequence([seed, f_idx]).spawn(n_games)
-        jobs = [
-            (params, selector, opponent, float(fraction), competitive, i, ss)
-            for i, ss in enumerate(children)
-        ]
-        if workers > 1 and not hasattr(opponent, "best_move"):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_curve_game, jobs, chunksize=max(1, n_games // (4 * workers))))
-        else:
-            outcomes = [_curve_game(j) for j in jobs]
-        wins = draws = losses = illegal = 0
-        lengths = []
-        for _, tag, length in sorted(outcomes):
-            lengths.append(length)
-            if tag == "win":
-                wins += 1
-            elif tag == "draw":
-                draws += 1
-            elif tag == "loss":
-                losses += 1
-            else:
-                illegal += 1
-                losses += 1
+        seeds = np.random.SeedSequence([seed, f_idx]).spawn(n_games)
+        make_agent = partial(
+            masked_policy_mover, params, selector, float(fraction), competitive=competitive
+        )
+        games = _play_games(make_agent, make_opponent, seeds, workers)
+        results = [agent for agent, _, _ in games]
+        wins, illegal = results.count("win"), results.count("illegal")
         rows.append(
             {
                 "fraction": float(fraction),
                 "n_games": n_games,
                 "wins": wins,
-                "draws": draws,
-                "losses": losses,
+                "draws": results.count("draw"),
+                "losses": results.count("loss") + illegal,
                 "illegal": illegal,
                 "win_rate": wins / n_games,
-                "mean_length": float(np.mean(lengths)),
+                "mean_length": float(np.mean([length for _, _, length in games])),
             }
         )
     return rows
@@ -462,12 +375,7 @@ CURVE_COLUMNS = ("fraction", "n_games", "wins", "draws", "losses", "illegal", "w
 
 
 def curve_to_csv(rows, path) -> str:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in CURVE_COLUMNS])
-    return str(path)
+    return write_csv(path, CURVE_COLUMNS, ([row[c] for c in CURVE_COLUMNS] for row in rows))
 
 
 def play_vs_random(
@@ -475,28 +383,7 @@ def play_vs_random(
 ) -> mcts.WinStats:
     """Competitive (argmax) full-information agent against a uniform
     random mover, colours alternating."""
-    children = np.random.SeedSequence(seed).spawn(n_games)
-    wins = draws = losses = illegal = 0
-    for i, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        agent_colour = engine.RED if i % 2 == 0 else engine.BLUE
-        fns = {
-            agent_colour: lambda board: mcts.agent_move(params, board),
-            (engine.BLUE if agent_colour == engine.RED else engine.RED): random_mover(rng),
-        }
-        winner, offender, _ = _run_game(fns)
-        if offender is not None:
-            if offender == agent_colour:
-                illegal += 1
-            else:
-                wins += 1
-        elif winner is None:
-            draws += 1
-        elif winner == agent_colour:
-            wins += 1
-        else:
-            losses += 1
-    return mcts.WinStats(wins=wins, draws=draws, losses=losses, illegal=illegal, n_games=n_games)
+    return mcts.play_agent_games(params, random_mover, np.random.SeedSequence(seed).spawn(n_games))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,30 @@ def agent_move(params: network.NetworkParams, board: engine.BoardState) -> int:
     return int(np.argmax(policy))
 
 
+def play_agent_games(params: network.NetworkParams, opponent, seeds) -> WinStats:
+    """Agent (argmax policy, full information) against ``opponent(rng)``,
+    one game per SeedSequence in ``seeds``, the agent playing red in
+    even-numbered games. Each game's rng is built from its seed and
+    handed to the opponent."""
+    results = []
+    for g, ss in enumerate(seeds):
+        colour = engine.RED if g % 2 == 0 else engine.BLUE
+        movers = {
+            colour: lambda board: agent_move(params, board),
+            engine.other(colour): opponent(np.random.default_rng(ss)),
+        }
+        _, out, offender = engine.play(movers)
+        results.append(engine.result_for(out, offender, colour))
+    return WinStats(
+        wins=results.count("win"),
+        draws=results.count("draw"),
+        losses=results.count("loss"),
+        illegal=results.count("illegal"),
+        n_games=len(results),
+        game_seeds=tuple(int(ss.generate_state(1)[0]) for ss in seeds),
+    )
+
+
 def benchmark(
     agent,
     mcts_config: MCTSConfig,
@@ -253,38 +277,10 @@ def benchmark(
     root = np.random.SeedSequence(
         seed if seed is not None else (int(rng.integers(2**63)) if rng else 0)
     )
-    seeds = root.spawn(n_games)
-    game_seeds = tuple(int(ss.generate_state(1)[0]) for ss in seeds)
-    wins = draws = losses = illegal = 0
-    for g, ss in enumerate(seeds):
-        game_rng = np.random.default_rng(ss)
-        agent_colour = engine.RED if g % 2 == 0 else engine.BLUE
-        board = engine.new_board()
-        while True:
-            out = engine.outcome(board)
-            if out.is_terminal:
-                if out.kind == engine.DRAW:
-                    draws += 1
-                elif (out.kind == engine.RED_WINS) == (agent_colour == engine.RED):
-                    wins += 1
-                else:
-                    losses += 1
-                break
-            if board.to_move == agent_colour:
-                col = agent_move(params, board)
-                if board.column_height(col) >= engine.ROWS:
-                    illegal += 1
-                    break
-                board = engine.apply_move(board, col)
-            else:
-                board = engine.apply_move(board, mcts_move(board, mcts_config, game_rng))
-    return WinStats(
-        wins=wins,
-        draws=draws,
-        losses=losses,
-        illegal=illegal,
-        n_games=n_games,
-        game_seeds=game_seeds,
+    return play_agent_games(
+        params,
+        lambda game_rng: lambda board: mcts_move(board, mcts_config, game_rng),
+        root.spawn(n_games),
     )
 
 
@@ -423,13 +419,15 @@ class ExternalOracle:
 
 
 def play_oracle_game(oracle_a: MoveOracle, oracle_b: Optional[MoveOracle] = None) -> list:
-    """Full game between two oracles; returns the column sequence."""
+    """Full game between two oracles; returns the column sequence. An
+    illegal oracle column raises OracleError."""
     oracle_b = oracle_b or oracle_a
-    board = engine.new_board()
-    record = []
-    while not engine.outcome(board).is_terminal:
-        oracle = oracle_a if board.to_move == engine.RED else oracle_b
-        col, _ = oracle.best_move(board)
-        record.append(int(col))
-        board = engine.apply_move(board, col)
-    return record
+    final, _, offender = engine.play(
+        {
+            engine.RED: lambda board: oracle_a.best_move(board)[0],
+            engine.BLUE: lambda board: oracle_b.best_move(board)[0],
+        }
+    )
+    if offender is not None:
+        raise OracleError(f"oracle chose an illegal column at ply {final.turn}")
+    return [int(col) for col, _ in final.history]

@@ -278,6 +278,17 @@ def policy_value(params: NetworkParams, x: np.ndarray):
     return trace.policy[0], float(trace.value[0])
 
 
+def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an action from a policy vector renormalised in float64.
+
+    The division is in place, so a float64 ``policy`` is rescaled in the
+    caller's array too; callers read probabilities from it afterwards.
+    """
+    probs = np.asarray(policy, dtype=np.float64)
+    probs /= probs.sum()
+    return int(rng.choice(N_ACTIONS, p=probs))
+
+
 def _relu_factor(z, upstream, rule, local, name):
     if local is not None and name in local:
         return local[name]
@@ -424,18 +435,18 @@ def load(path) -> NetworkParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayload(f"unreadable header: {exc}") from exc
     off += header_len
-    arch = ArchDescriptor(conv_channels=int(header["conv_channels"]))
-    tag = _DTYPE_TAGS.get(header.get("dtype"))
-    if tag is None:
-        raise CorruptPayload(f"unknown dtype {header.get('dtype')!r}")
+    _check_header(header)
+    arch = ArchDescriptor(conv_channels=header["conv_channels"])
+    tag = _DTYPE_TAGS[header["dtype"]]
     specs = dict(arch.param_specs())
     tensors = {}
     for name in header["param_order"]:
         if name not in specs:
             raise CorruptPayload(f"unexpected parameter {name!r}")
-        shape = tuple(header["shapes"][name])
-        if shape != specs[name]:
+        shape = header["shapes"].get(name)
+        if not isinstance(shape, list) or tuple(shape) != specs[name]:
             raise CorruptPayload(f"shape mismatch for {name}: {shape} vs {specs[name]}")
+        shape = specs[name]
         count = int(np.prod(shape))
         arr = np.frombuffer(body, tag, count=count, offset=off)
         if arr.size != count:
@@ -452,6 +463,22 @@ def load(path) -> NetworkParams:
         dtype=np.dtype(header["dtype"]),
         meta=dict(header.get("meta", {})),
     )
+
+
+def _check_header(header):
+    """Reject a header whose fields ``load`` cannot read as typed."""
+    if not isinstance(header, dict):
+        raise CorruptPayload("header is not a JSON object")
+    channels = header.get("conv_channels")
+    if type(channels) is not int or channels < 1:
+        raise CorruptPayload(f"bad conv_channels {channels!r}")
+    if not isinstance(header.get("dtype"), str) or header["dtype"] not in _DTYPE_TAGS:
+        raise CorruptPayload(f"unknown dtype {header.get('dtype')!r}")
+    order = header.get("param_order")
+    if not isinstance(order, list) or not all(isinstance(name, str) for name in order):
+        raise CorruptPayload("param_order is not a list of names")
+    if not isinstance(header.get("shapes"), dict) or not isinstance(header.get("meta", {}), dict):
+        raise CorruptPayload("shapes or meta is not a JSON object")
 
 
 def file_sha256(path) -> str:

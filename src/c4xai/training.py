@@ -91,6 +91,9 @@ class PPOConfig:
             raise ConfigError(str(exc)) from exc
 
 
+REWARDS = {"win": 1.0, "draw": 0.0, "loss": -1.0, "illegal": -2.0}
+
+
 @dataclass
 class Transition:
     state: np.ndarray  # 3x6x7 as the mover saw it, colours already masked
@@ -112,50 +115,35 @@ def self_play_episode(
     filled in. An illegal move yields a single -2 transition and drops
     the rest of the game.
     """
-    board = engine.new_board()
     transitions = []
-    while True:
-        out = engine.outcome(board)
-        if out.is_terminal:
-            _assign_terminal_rewards(transitions, out, config.gamma)
-            break
+
+    def move(board):
         mover = board.to_move
         p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
         revealed = engine.sample_hidden(board, p_h, rng)
         x = engine.encode(board, revealed, perspective=mover, dtype=params.dtype)
         policy, value = network.policy_value(params, x)
-        probs = np.asarray(policy, dtype=np.float64)
-        probs /= probs.sum()
-        action = int(rng.choice(network.N_ACTIONS, p=probs))
-        tr = Transition(
-            state=x,
-            action=action,
-            prob=float(policy[action]),
-            value=value,
-            player=mover,
+        action = network.sample_action(policy, rng)
+        transitions.append(
+            Transition(state=x, action=action, prob=float(policy[action]), value=value, player=mover)
         )
-        if board.column_height(action) >= engine.ROWS:
-            tr.reward = -2.0
-            tr.done = True
-            tr.ret = -2.0
-            return [tr]
-        transitions.append(tr)
-        board = engine.apply_move(board, action)
+        return action
+
+    _, out, offender = engine.play({engine.RED: move, engine.BLUE: move})
+    if offender is not None:
+        tr = transitions[-1]
+        tr.reward = tr.ret = REWARDS["illegal"]
+        tr.done = True
+        return [tr]
+    _assign_terminal_rewards(transitions, out, config.gamma)
     return transitions
 
 
 def _assign_terminal_rewards(transitions, out: engine.Outcome, gamma: float):
-    if not transitions:
-        return
-    rewards = {engine.RED: 0.0, engine.BLUE: 0.0}
-    if out.kind == engine.RED_WINS:
-        rewards = {engine.RED: 1.0, engine.BLUE: -1.0}
-    elif out.kind == engine.BLUE_WINS:
-        rewards = {engine.RED: -1.0, engine.BLUE: 1.0}
     seen = set()
     for tr in reversed(transitions):
         if tr.player not in seen:
-            tr.reward = rewards[tr.player]
+            tr.reward = REWARDS[engine.result_for(out, None, tr.player)]
             tr.done = True
             seen.add(tr.player)
     fill_returns(transitions, gamma)
@@ -297,7 +285,7 @@ def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> Tr
         for game in range(1, config.total_games + 1):
             transitions = self_play_episode(params, config, rng)
             buffer.extend(transitions)
-            window_illegal.append(any(tr.reward == -2.0 for tr in transitions))
+            window_illegal.append(any(tr.reward == REWARDS["illegal"] for tr in transitions))
             if game % config.update_every == 0 and buffer:
                 params, opt_state, stats = ppo_update(params, buffer, config, opt_state)
                 row = {

@@ -250,6 +250,21 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_checkpoint_header_exits_2_without_traceback(tmp_path, capsys):
+    import hashlib
+    import struct
+
+    # checksum-valid file whose JSON header is an empty object
+    body = network.CHECKPOINT_MAGIC + struct.pack("<II", network.CHECKPOINT_VERSION, 2) + b"{}"
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(body + hashlib.sha256(body).digest())
+    code = cli.main(["benchmark", "--checkpoint", str(bad), "--games", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unreachable_board_file_exits_2(tmp_path, checkpoint, capsys):
     board_file = tmp_path / "bad_pos.txt"
     # a stone floating above an empty cell violates gravity

@@ -394,3 +394,15 @@ class TestExternalOracle:
         assert oracle._proc is None
         assert proc.poll() is not None
         oracle.close()
+
+
+class FullColumnOracle:
+    """Answers column 0 every time, so the seventh request is illegal."""
+
+    def best_move(self, board):
+        return 0, None
+
+
+def test_oracle_game_with_an_illegal_column_raises():
+    with pytest.raises(mcts.OracleError, match="illegal column at ply 6"):
+        mcts.play_oracle_game(FullColumnOracle())

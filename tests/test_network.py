@@ -371,3 +371,56 @@ def test_file_sha256(tmp_path):
     assert network.file_sha256(p) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+def repack_header(path, edit):
+    """Rewrite a checkpoint with ``edit(header)`` as its JSON header and a
+    valid checksum, so only the header schema is wrong."""
+    import hashlib
+    import json
+    import struct
+
+    blob = path.read_bytes()
+    off = len(network.CHECKPOINT_MAGIC) + 8
+    (header_len,) = struct.unpack_from("<I", blob, off - 4)
+    header = json.loads(blob[off : off + header_len])
+    new_header = json.dumps(edit(header)).encode()
+    body = (
+        blob[: off - 4]
+        + struct.pack("<I", len(new_header))
+        + new_header
+        + blob[off + header_len : -32]
+    )
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "empty object": lambda header: {},
+    "json list": lambda header: [1, 2, 3],
+    "no param_order": lambda header: _without(header, "param_order"),
+    "shape missing": lambda header: {**header, "shapes": _without(header["shapes"], "conv2_w")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_corrupt_payload(tmp_path, case):
+    path = tmp_path / "net.ckpt"
+    network.save(make_params(8, seed=37), path)
+    repack_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(network.CorruptPayload) as exc:
+        network.load(path)
+    assert "checksum" not in str(exc.value)
+
+
+def test_sample_action_renormalises_float64_policy_in_place():
+    policy = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2])
+    a = network.sample_action(policy, np.random.default_rng(5))
+    np.testing.assert_allclose(policy, 1.0 / 7.0)
+    assert a == network.sample_action(policy, np.random.default_rng(5))
+    float32 = np.full(7, 0.2, dtype=np.float32)
+    network.sample_action(float32, np.random.default_rng(5))
+    assert float32[0] == np.float32(0.2)
