@@ -29,6 +29,8 @@ from .csvio import write_csv
 
 EXACT_LIMIT = 12  # 2^t coalition table guard
 PERM_LIMIT = 8  # t! enumeration guard
+BLOCK_ROWS = 64  # queries per eval_masks block: one network forward
+MASK_BITS = 63  # players an int64 coalition bitmask can hold
 
 
 class CharFnError(Exception):
@@ -49,6 +51,11 @@ class CharacteristicFn:
     ``fn`` receives a frozenset of ground-set members. Metadata carries
     the decision context (head, board, explained action) when the game
     comes from a network.
+
+    Counters: ``queries`` (eval_mask calls), ``hits`` (queries answered
+    without evaluating the game), ``evictions`` (cache entries dropped
+    when the cache is full) and ``batches`` (calls of the evaluation
+    hook). ``queries - hits`` is the number of rows evaluated.
     """
 
     def __init__(
@@ -68,6 +75,10 @@ class CharacteristicFn:
         self._index = {f: i for i, f in enumerate(self.ground)}
         self._cache = {}
         self._cache_size = cache_size
+        self.queries = 0
+        self.hits = 0
+        self.evictions = 0
+        self.batches = 0
 
     @property
     def t(self) -> int:
@@ -87,43 +98,82 @@ class CharacteristicFn:
         return self.eval_mask(mask)
 
     def eval_mask(self, mask: int) -> float:
+        self.queries += 1
         hit = self._cache.get(mask)
         if hit is not None:
+            self.hits += 1
             return hit
-        val = float(self._fn(self.members(mask)))
         if len(self._cache) >= self._cache_size:
-            self._cache.clear()
-        self._cache[mask] = val
-        return val
+            self._evict()
+        self._store([mask])
+        return self._cache[mask]
+
+    def eval_masks(self, masks) -> np.ndarray:
+        """Values of many coalition bitmasks, in query order.
+
+        The queries are walked in blocks of BLOCK_ROWS. The uncached
+        coalitions of a block go to the game in one hook call (one
+        network forward for nu_pol and nu_val), then every query of the
+        block is read back through eval_mask. The cache is cleared only
+        between blocks, so a block never evicts its own rows.
+        """
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1).tolist()
+        out = np.empty(len(masks))
+        for start in range(0, len(masks), BLOCK_ROWS):
+            block = masks[start : start + BLOCK_ROWS]
+            missing = [m for m in dict.fromkeys(block) if m not in self._cache]
+            if len(self._cache) + len(missing) > self._cache_size:
+                self._evict()
+                missing = list(dict.fromkeys(block))
+            if missing:
+                self._store(missing)
+                self.hits -= len(missing)  # their read-back below evaluated them
+            out[start : start + len(block)] = [self.eval_mask(m) for m in block]
+        return out
+
+    def _store(self, masks: list) -> None:
+        self.batches += 1
+        values = self._evaluate([self.members(m) for m in masks])
+        for mask, val in zip(masks, values):
+            self._cache[mask] = float(val)
+
+    def _evaluate(self, coalitions: list):
+        """The game's values on ``coalitions``: the one evaluation hook."""
+        return [self._fn(c) for c in coalitions]
+
+    def _evict(self) -> None:
+        self.evictions += len(self._cache)
+        self._cache.clear()
+
+
+class _NetworkGame(CharacteristicFn):
+    """nu_pol / nu_val: a hook call is one forward of the stacked encodings."""
+
+    def __init__(self, params: network.NetworkParams, board: engine.BoardState, head: str):
+        if engine.outcome(board).is_terminal:
+            raise CharFnError("characteristic functions are defined on ongoing positions")
+        full_policy, _ = network.policy_value(
+            params, engine.encode(board, perspective=board.to_move, dtype=params.dtype)
+        )
+        a_star = int(np.argmax(full_policy))
+        super().__init__(board.occupied_cells(), None, head=head, board=board, a_star=a_star)
+        self._params = params
+
+    def _evaluate(self, coalitions):
+        mover, dtype = self.board.to_move, self._params.dtype
+        x = [engine.encode(self.board, c, perspective=mover, dtype=dtype) for c in coalitions]
+        trace = network.forward(self._params, np.stack(x))
+        return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
 
 
 def nu_pol(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:
     """Policy-head game: P(a*; masked board), a* fixed from full information."""
-    return _make_nu(params, board, "policy")
+    return _NetworkGame(params, board, "policy")
 
 
 def nu_val(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:
     """Value-head game: V(masked board)."""
-    return _make_nu(params, board, "value")
-
-
-def _make_nu(params, board, head):
-    if engine.outcome(board).is_terminal:
-        raise CharFnError("characteristic functions are defined on ongoing positions")
-    mover = board.to_move
-    full_policy, _ = network.policy_value(
-        params, engine.encode(board, perspective=mover, dtype=params.dtype)
-    )
-    a_star = int(np.argmax(full_policy))
-
-    def fn(coalition):
-        x = engine.encode(board, coalition, perspective=mover, dtype=params.dtype)
-        policy, value = network.policy_value(params, x)
-        return policy[a_star] if head == "policy" else value
-
-    return CharacteristicFn(
-        ground=board.occupied_cells(), fn=fn, head=head, board=board, a_star=a_star
-    )
+    return _NetworkGame(params, board, "value")
 
 
 @dataclass
@@ -190,7 +240,7 @@ def exact_shapley(nu: CharacteristicFn) -> ShapleyResult:
     t = nu.t
     if t > EXACT_LIMIT:
         raise GroundSetTooLarge(f"t = {t} exceeds the exact limit {EXACT_LIMIT}")
-    values = np.array([nu.eval_mask(m) for m in range(1 << t)])
+    values = nu.eval_masks(np.arange(1 << t))
     fact = [math.factorial(k) for k in range(t + 1)]
     weights = [fact[s] * fact[t - 1 - s] / fact[t] for s in range(t)]
     phi = np.zeros(t)
@@ -209,13 +259,14 @@ def exact_shapley_by_permutations(nu: CharacteristicFn) -> ShapleyResult:
     t = nu.t
     if t > PERM_LIMIT:
         raise GroundSetTooLarge(f"t = {t} exceeds the permutation limit {PERM_LIMIT}")
+    values = nu.eval_masks(np.arange(1 << t))
     phi = np.zeros(t)
     for perm in permutations(range(t)):
         mask = 0
-        prev = nu.eval_mask(0)
+        prev = values[0]
         for i in perm:
             mask |= 1 << i
-            cur = nu.eval_mask(mask)
+            cur = values[mask]
             phi[i] += cur - prev
             prev = cur
     phi /= math.factorial(t)
@@ -230,15 +281,16 @@ def exact_partial_shapley(nu: CharacteristicFn, p: float, conditional: bool = Fa
     floor = _predecessor_floor(p, t)
     if t > PERM_LIMIT:
         raise GroundSetTooLarge(f"t = {t} exceeds the permutation limit {PERM_LIMIT}")
+    values = np.zeros(1 << t)
+    on_manifold = [m for m in range(1 << t) if bin(m).count("1") >= floor]
+    values[on_manifold] = nu.eval_masks(on_manifold)
     phi = np.zeros(t)
     hits = np.zeros(t)
     for perm in permutations(range(t)):
         mask = 0
         for pos, i in enumerate(perm):
             if pos >= floor:
-                before = nu.eval_mask(mask)
-                after = nu.eval_mask(mask | (1 << i))
-                phi[i] += after - before
+                phi[i] += values[mask | (1 << i)] - values[mask]
                 hits[i] += 1
             mask |= 1 << i
     denom = hits if conditional else float(math.factorial(t))
@@ -275,26 +327,27 @@ def partial_shapley(
     the admissible fraction (t - floor)/t, matching the 1/t!
     normalization of the restricted permutation sum. ``conditional``
     skips that rescale and reports the plain conditional mean.
+
+    All permutations are drawn first; their walks form one coalition
+    matrix (prefix ORs of the permutations' bits) that is evaluated by
+    one ``eval_masks`` call in walk order, and the marginals are summed
+    per feature in that same order.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     t = nu.t
     floor = _predecessor_floor(p, t)
+    if t > MASK_BITS:
+        raise GroundSetTooLarge(f"t = {t} exceeds the {MASK_BITS} bits of an int64 coalition mask")
+    perms = np.array([rng.permutation(t) for _ in range(n_permutations)], dtype=np.int64)
+    perms = perms.reshape(n_permutations, t)  # also for t = 0
+    prefix = np.bitwise_or.accumulate(1 << perms, axis=1)
+    start = prefix[:, floor - 1] if floor else np.zeros(n_permutations, dtype=np.int64)
+    walks = np.column_stack([start, prefix[:, floor:]])
+    marginals = np.diff(nu.eval_masks(walks).reshape(walks.shape), axis=1)
     acc = np.zeros(t)
-    hits = np.zeros(t)
-    for _ in range(n_permutations):
-        perm = rng.permutation(t)
-        mask = 0
-        for i in perm[:floor]:
-            mask |= 1 << int(i)
-        prev = nu.eval_mask(mask)
-        for i in perm[floor:]:
-            i = int(i)
-            mask |= 1 << i
-            cur = nu.eval_mask(mask)
-            acc[i] += cur - prev
-            hits[i] += 1
-            prev = cur
+    np.add.at(acc, perms[:, floor:], marginals)
+    hits = np.bincount(perms[:, floor:].ravel(), minlength=t).astype(float)
     with np.errstate(invalid="ignore"):
         cond_mean = np.where(hits > 0, acc / np.maximum(hits, 1), 0.0)
     values = cond_mean if conditional else cond_mean * ((t - floor) / t if t else 0.0)
@@ -354,6 +407,11 @@ class QueryLog:
     def eval_mask(self, mask: int) -> float:
         self.sizes.append(bin(mask).count("1"))
         return self._nu.eval_mask(mask)
+
+    def eval_masks(self, masks) -> np.ndarray:
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        self.sizes.extend(bin(m).count("1") for m in masks.tolist())
+        return self._nu.eval_masks(masks)
 
     @property
     def min_size(self) -> int:

@@ -69,11 +69,20 @@ def cmd_train(args) -> int:
     if overrides:
         config = training.PPOConfig(**{**config.__dict__, **overrides})
     out_dir = args.out or "runs/train"
-    result = training.train(config, out_dir, progress=print)
+    result = training.train(config, out_dir, progress=_print_update)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"log: {result.log_path}")
     _sidecar(args, result.log_path, config_obj=config.__dict__)
     return 0
+
+
+def _print_update(game, row) -> None:
+    """Training progress: one line per PPO update, none between updates."""
+    if row is not None and row["games"] == game:
+        print(
+            f"games={game} mean_return={row['mean_return']:.4f} "
+            f"illegal_rate={row['illegal_rate']:.3f}"
+        )
 
 
 def cmd_benchmark(args) -> int:

@@ -52,6 +52,8 @@ class FWResult:
     trace: np.ndarray  # best-so-far distortion per iteration (non-increasing)
     last_mask: np.ndarray  # final iterate regardless of quality
     meta: dict = field(default_factory=dict)
+    # duality gap <-grad f(m_tau), v_tau - m_tau> per iteration
+    gaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 class _Objective:
@@ -68,19 +70,23 @@ class _Objective:
         self.a_star = int(np.argmax(policy))
         self.p_full = float(policy[self.a_star])
 
-    def masked_input(self, m: np.ndarray) -> np.ndarray:
-        x = self.x_full.copy()
-        x[0] *= m
-        x[1] *= m
-        return x
+    def _forward(self, ms: np.ndarray):
+        """One network forward on the board under each mask of ``ms``."""
+        x = np.repeat(self.x_full[None], len(ms), axis=0)
+        x[:, 0] *= ms
+        x[:, 1] *= ms
+        trace = network.forward(self.params, x)
+        # Python float ** per row: numpy's ** 2 multiplies where float pow calls pow()
+        return trace, [(self.p_full - float(p)) ** 2 for p in trace.policy[:, self.a_star]]
+
+    def values(self, ms: np.ndarray) -> np.ndarray:
+        return np.array(self._forward(ms)[1])
 
     def value(self, m: np.ndarray) -> float:
-        policy, _ = network.policy_value(self.params, self.masked_input(m))
-        return (self.p_full - float(policy[self.a_star])) ** 2
+        return self._forward(m[None])[1][0]
 
     def value_and_grad(self, m: np.ndarray):
-        x = self.masked_input(m)
-        trace = network.forward(self.params, x)
+        trace, (d_val,) = self._forward(m[None])
         p_m = float(trace.policy[0, self.a_star])
         one_hot = np.zeros(network.N_ACTIONS)
         one_hot[self.a_star] = 1.0
@@ -92,7 +98,7 @@ class _Objective:
         grad = -2.0 * (self.p_full - p_m) * dp_dm
         if not np.isfinite(grad).all():
             raise NonFiniteGradient("non-finite distortion gradient")
-        return (self.p_full - p_m) ** 2, grad.astype(float)
+        return d_val, grad.astype(float)
 
 
 def distortion(
@@ -147,29 +153,32 @@ def fw_optimize(
     minimizes the objective along the segment on a scalar grid (the
     network output is not quadratic in m, so there is no closed form)
     and is never worse than staying put. Tracks and returns the best
-    iterate seen, with the best-so-far distortion trace.
+    iterate seen, with the best-so-far distortion trace and the duality
+    gap of every iteration. The line-search grid is one batched forward;
+    the gradient forward of an iterate also gives its distortion.
     """
     obj = _Objective(params, board)
     k = min(config.k, N_CELLS)
     m = np.full((engine.ROWS, engine.COLS), k / N_CELLS)
+    best_d, grad = obj.value_and_grad(m)
     best_m = m.copy()
-    best_d = obj.value(m)
-    trace = []
+    trace, gaps = [], []
     for tau in range(config.iterations):
-        d_val, grad = obj.value_and_grad(m)
-        if d_val < best_d:
-            best_d, best_m = d_val, m.copy()
         v = lmo_ksparse(grad, config.k)
         direction = v - m
+        gaps.append(float(-(grad * direction).sum()))
         if config.step_rule == "line_search":
             gammas = np.linspace(0.0, 1.0, config.line_search_grid)
-            vals = [obj.value(m + g * direction) for g in gammas]
+            vals = obj.values(m + gammas[:, None, None] * direction)
             gamma = float(gammas[int(np.argmin(vals))])
         else:
             gamma = 2.0 / (tau + 2.0)
         m = m + gamma * direction
         np.clip(m, 0.0, 1.0, out=m)  # guards float drift only; convexity keeps m in B_k
-        cur = obj.value(m)
+        if tau + 1 < config.iterations:
+            cur, grad = obj.value_and_grad(m)
+        else:
+            cur = obj.value(m)
         if cur < best_d:
             best_d, best_m = cur, m.copy()
         trace.append(best_d)
@@ -180,6 +189,7 @@ def fw_optimize(
         distortion=best_d,
         trace=np.array(trace),
         last_mask=m,
+        gaps=np.array(gaps),
         meta={
             "k": config.k,
             "iterations": config.iterations,

@@ -39,6 +39,9 @@ class NonFiniteLoss(TrainingError):
     pass
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}  # by PPOConfig field type
+
+
 @dataclass
 class PPOConfig:
     gamma: float = 0.75
@@ -81,14 +84,19 @@ class PPOConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON: {exc}") from exc
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(raw) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, value in raw.items():
+            # bool is an int subclass: it is valid for bool fields only
+            if isinstance(value, bool) != (kinds[name] == "bool") or not isinstance(
+                value, _JSON_TYPES[kinds[name]]
+            ):
+                raise ConfigError(f"config key {name!r} must be {kinds[name]}, got {value!r}")
+        return cls(**raw)
 
 
 REWARDS = {"win": 1.0, "draw": 0.0, "loss": -1.0, "illegal": -2.0}

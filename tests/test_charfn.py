@@ -302,3 +302,108 @@ def _powerset(items):
     items = list(items)
     for mask in range(1 << len(items)):
         yield tuple(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+# --- batched evaluation --------------------------------------------------------
+
+def table_game(t, seed, cache_size=1 << 16):
+    table = np.random.default_rng(seed).uniform(0.0, 1.0, size=1 << t)
+    return charfn.CharacteristicFn(
+        range(t), lambda S: table[sum(1 << f for f in S)], cache_size=cache_size
+    )
+
+
+def walk_partial_shapley(nu, p, n_permutations, rng):
+    """Reference: walk each permutation in turn, one eval_mask per coalition."""
+    t = nu.t
+    floor = math.ceil(p * t - 1e-9)
+    acc = np.zeros(t)
+    hits = np.zeros(t)
+    for _ in range(n_permutations):
+        perm = rng.permutation(t)
+        mask = 0
+        for i in perm[:floor]:
+            mask |= 1 << int(i)
+        prev = nu.eval_mask(mask)
+        for i in perm[floor:]:
+            i = int(i)
+            mask |= 1 << i
+            cur = nu.eval_mask(mask)
+            acc[i] += cur - prev
+            hits[i] += 1
+            prev = cur
+    return np.where(hits > 0, acc / np.maximum(hits, 1), 0.0) * ((t - floor) / t)
+
+
+def float32_net_game(n_moves=8, seed=0):
+    _, params, board = make_net_game(n_moves, seed=seed)
+    params32 = params.astype(np.float32)
+    return lambda: charfn.nu_pol(params32, board)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("t", [7, 10])
+def test_batched_partial_shapley_is_the_walk_bit_for_bit(t, p):
+    got = charfn.partial_shapley(table_game(t, 3), p, 500, np.random.default_rng(41)).values
+    ref = walk_partial_shapley(table_game(t, 3), p, 500, np.random.default_rng(41))
+    assert np.array_equal(got, ref)
+
+
+def test_batched_network_game_matches_the_walk_and_repeats():
+    fresh = float32_net_game(8)
+    assert fresh().t == 8
+    got = charfn.partial_shapley(fresh(), 0.5, 300, np.random.default_rng(43)).values
+    ref = walk_partial_shapley(fresh(), 0.5, 300, np.random.default_rng(43))
+    assert np.max(np.abs(got - ref)) <= 1e-6
+    again = charfn.partial_shapley(fresh(), 0.5, 300, np.random.default_rng(43)).values
+    assert np.array_equal(got, again)
+
+
+def test_small_cache_gives_the_same_values_and_counts_evictions():
+    small = table_game(10, 5, cache_size=3 * charfn.BLOCK_ROWS)
+    large = table_game(10, 5)
+    a = charfn.partial_shapley(small, 0.5, 400, np.random.default_rng(47)).values
+    b = charfn.partial_shapley(large, 0.5, 400, np.random.default_rng(47)).values
+    assert np.array_equal(a, b)
+    assert large.evictions == 0
+    assert small.evictions > 0
+    assert small.queries == large.queries == 400 * 6
+    assert small.hits < large.hits
+    assert len(small._cache) <= 4 * charfn.BLOCK_ROWS  # full by at most one block
+
+
+def test_sampler_rejects_more_players_than_mask_bits():
+    nu = charfn.CharacteristicFn(range(charfn.MASK_BITS + 1), len)
+    with pytest.raises(charfn.GroundSetTooLarge):
+        charfn.partial_shapley(nu, 0.5, 1, np.random.default_rng(0))
+
+
+def test_counters_on_a_table_game():
+    nu = table_game(6, 7)
+    charfn.exact_shapley(nu)
+    assert (nu.queries, nu.hits, nu.evictions, nu.batches) == (64, 0, 0, 1)
+    nu.eval_mask(5)
+    assert (nu.queries, nu.hits, nu.batches) == (65, 1, 1)
+    fresh = table_game(6, 7)
+    values = fresh.eval_masks([3, 3, 9, 3])
+    assert values[0] == values[1] == values[3] == nu.eval_mask(3)
+    assert (fresh.queries, fresh.hits, fresh.batches) == (4, 2, 1)
+
+
+def test_counters_on_a_network_game(monkeypatch):
+    forwards = []
+    original = network.forward
+
+    def counting_forward(params, x):
+        trace = original(params, x)
+        forwards.append(len(trace.policy))
+        return trace
+
+    nu = float32_net_game(8)()
+    monkeypatch.setattr(network, "forward", counting_forward)
+    charfn.partial_shapley(nu, 0.5, 100, np.random.default_rng(53))
+    assert nu.queries == 100 * 5
+    assert nu.evictions == 0
+    assert len(forwards) == nu.batches  # one forward per hook call
+    assert sum(forwards) == nu.queries - nu.hits == len(nu._cache)
+    assert max(forwards) <= charfn.BLOCK_ROWS

@@ -61,6 +61,41 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert "checkpoint:" in out
 
 
+def test_train_prints_one_line_per_update(tmp_path, capsys):
+    cfg = tmp_path / "ppo.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "conv_channels": 8,
+                "total_games": 20,
+                "update_every": 10,
+                "checkpoint_every": 0,
+                "seed": 2,
+            }
+        )
+    )
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("games=10 mean_return=")
+    assert lines[1].startswith("games=20 mean_return=")
+    assert "illegal_rate=" in lines[1]
+    assert lines[2].startswith("checkpoint: ")
+    assert lines[3].startswith("log: ")
+
+
+@pytest.mark.parametrize("text", ["null", '"str"', '{"seed": "x"}', '{"update_every": 1.5}'])
+def test_mistyped_train_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "ppo.json"
+    cfg.write_text(text)
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_game_override_beats_the_config(tmp_path):
     cfg = tmp_path / "ppo.json"
     cfg.write_text(json.dumps({"conv_channels": 8, "total_games": 50, "update_every": 2}))

@@ -219,3 +219,73 @@ def test_result_csv_round_trip(tmp_path):
     for line in rows[1:]:
         r, c, v = line.split(",")
         assert float(v) == res.mask[int(r), int(c)]
+
+
+# --- duality gap and batched evaluation ----------------------------------------
+
+def test_duality_gap_is_recorded_and_nonnegative():
+    params, board = setup_case(37)
+    for rule in ("agnostic", "line_search"):
+        seen = []
+        res = fwmask.fw_optimize(
+            params, board, fwmask.FWConfig(k=3, iterations=20, step_rule=rule),
+            on_iterate=lambda tau, m: seen.append(m),
+        )
+        assert res.gaps.shape == (20,)
+        assert np.all(res.gaps >= -1e-12), rule
+        # gap of iterate m_5, the one handed to on_iterate at tau = 4
+        m = seen[4]
+        grad = fwmask.distortion_gradient(params, board, m)
+        v = fwmask.lmo_ksparse(grad, 3)
+        assert res.gaps[5] == float(-(grad * (v - m)).sum())
+
+
+def test_gaps_stay_out_of_the_csv(tmp_path):
+    params, board = setup_case(31)
+    res = fwmask.fw_optimize(params, board, fwmask.FWConfig(k=2, iterations=5))
+    text = open(fwmask.result_to_csv(res, tmp_path / "mask.csv")).read()
+    assert "gap" not in text
+
+
+def reference_line_search(params, board, cfg):
+    """FW with one distortion() call per line-search grid point."""
+    a_star = full_info_a_star(params, board)
+    m = np.full((6, 7), cfg.k / 42)
+    best_d, best_m = fwmask.distortion(params, board, a_star, m), m.copy()
+    gammas = np.linspace(0.0, 1.0, cfg.line_search_grid)
+    for _ in range(cfg.iterations):
+        direction = fwmask.lmo_ksparse(fwmask.distortion_gradient(params, board, m), cfg.k) - m
+        vals = [fwmask.distortion(params, board, a_star, m + g * direction) for g in gammas]
+        m = np.clip(m + gammas[int(np.argmin(vals))] * direction, 0.0, 1.0)
+        d = fwmask.distortion(params, board, a_star, m)
+        if d < best_d:
+            best_d, best_m = d, m.copy()
+    return best_m
+
+
+def test_batched_line_search_matches_per_point_reference():
+    params, board = setup_case(41)
+    cfg = fwmask.FWConfig(k=3, iterations=12, step_rule="line_search")
+    res = fwmask.fw_optimize(params, board, cfg)
+    assert np.array_equal(res.mask, reference_line_search(params, board, cfg))
+
+
+def test_forwards_per_iteration(monkeypatch):
+    params, board = setup_case(43)
+    rows = []
+    original = fwmask.network.forward
+
+    def counting_forward(p, x):
+        trace = original(p, x)
+        rows.append(len(trace.policy))
+        return trace
+
+    monkeypatch.setattr(fwmask.network, "forward", counting_forward)
+    fwmask.fw_optimize(params, board, fwmask.FWConfig(k=3, iterations=10))
+    # reference policy, one forward per iterate m_0..m_9, the final iterate
+    assert rows == [1] * 12
+    rows.clear()
+    cfg = fwmask.FWConfig(k=3, iterations=10, step_rule="line_search")
+    fwmask.fw_optimize(params, board, cfg)
+    assert len(rows) == 22
+    assert rows.count(cfg.line_search_grid) == 10

@@ -138,7 +138,7 @@ GOLDEN = {
         "3afd719e45c1093d85be1018a491923478cf7f6fe965732c8685f3eb1db47867",
         [19, 1, 9, 1, 1, 17],
     ),
-    "shapley_csv": "4e38080332321054bee649191ae0e0f64df6cdb128ac28606e093301debf1865",
+    "shapley_csv": "f605f278e064d2ce467296a6d5fa061eaf05539c691931db94c204f7f7ecdeaa",
     "train": (
         "28e2645b1d1122bcc7d16cebd4c9876b0b4f844388218240be5091c317e310ac",
         "fa175775b3b921fae3b65c99f3c9e223f1df60a82c0b7b28feeec14fd3923ffc",

@@ -51,6 +51,32 @@ class TestPPOConfig:
             PPOConfig.from_json(path)
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "null",
+            '"str"',
+            "[1, 2]",
+            '{"seed": "x"}',
+            '{"update_every": 1.5}',
+            '{"total_games": true}',
+            '{"gamma": "0.5"}',
+            '{"gamma": false}',
+            '{"advantage_norm": 1}',
+        ],
+    )
+    def test_mistyped_json_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(training.ConfigError):
+            PPOConfig.from_json(path)
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"gamma": 1, "advantage_norm": false}')
+        cfg = PPOConfig.from_json(path)
+        assert cfg.gamma == 1 and cfg.advantage_norm is False
+
+    @pytest.mark.parametrize(
         "kw",
         [
             {"gamma": -0.1},
