@@ -10,12 +10,23 @@ C = 64.
 Everything is plain numpy. ``forward`` records every pre- and
 post-activation in a ForwardTrace so saliency rules can re-traverse the
 net, and ``backward`` differentiates exactly (ReLU subgradient 0 at 0).
+
+The conv layers compute on channels-last (NHWC) memory: im2col copies
+3x3 patches into rows ordered (ky, kx, c_in), and the forward, input
+gradient and weight gradient are each a 2-D GEMM over those rows.
+Arguments and results keep the NCHW shape (n, C, H, W); a conv result
+is the ``transpose(0, 3, 1, 2)`` view of its NHWC buffer, so passing it
+on to the next layer costs no copy. Checkpoints store weights as
+(C_out, C_in, 3, 3). The weight gradient sums one GEMM per block of 8
+samples in sample order, not one GEMM over the batch, so training gives
+the same bits at any BLAS thread count (see ``_conv_param_backward``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -173,52 +184,77 @@ def init(arch: ArchDescriptor, rng: np.random.Generator, dtype=np.float32) -> Ne
 # conv primitives (shared with the relevance-propagation rules)
 # ---------------------------------------------------------------------------
 
+# samples per partial product of the weight gradient (see _conv_param_backward)
+_WGRAD_BLOCK = 8
+
+
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    """The (n, H, W, C) view of an NCHW-shaped array; free for NHWC-backed views."""
+    return a.transpose(0, 2, 3, 1)
+
+
+def _wmat(w: np.ndarray) -> np.ndarray:
+    """(C_out, C_in, 3, 3) weights as the (9 C_in, C_out) matrix in (ky, kx, c_in) order."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+
+
 def _im2col(x: np.ndarray, pad: int):
+    """(n * OH * OW, 9 C_in) patch rows of an NCHW-shaped input, K in (ky, kx, c_in) order."""
+    n, c_in, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, c_in, hp, wp = x.shape
-    oh, ow = hp - 2, wp - 2
-    s0, s1, s2, s3 = x.strides
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), dtype=x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = _nhwc(x)
+    else:
+        xp = _nhwc(x)
+    oh, ow = xp.shape[1] - 2, xp.shape[2] - 2
+    s0, s1, s2, s3 = xp.strides
+    # one copy of the (n, OH, OW, ky, kx, c_in) window view: for NHWC memory
+    # each (kx, c_in) run is contiguous, so rows are copied 3 C_in at a time
     win = np.lib.stride_tricks.as_strided(
-        x, (n, c_in, 3, 3, oh, ow), (s0, s1, s2, s3, s2, s3), writeable=False
+        xp, (n, oh, ow, 3, 3, c_in), (s0, s1, s2, s1, s2, s3), writeable=False
     )
-    cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(n, oh * ow, c_in * 9)
-    return cols, oh, ow
+    return win.reshape(n * oh * ow, 9 * c_in), oh, ow
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int) -> np.ndarray:
     cols, oh, ow = _im2col(x, pad)
-    wmat = w.reshape(w.shape[0], -1)
-    out = cols @ wmat.T
+    out = cols @ _wmat(w)
     if b is not None:
         out += b
-    return out.transpose(0, 2, 1).reshape(x.shape[0], w.shape[0], oh, ow)
+    return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 def conv_input_backward(dout: np.ndarray, w: np.ndarray, in_hw: tuple, pad: int) -> np.ndarray:
     """Gradient w.r.t. the conv input (a transposed convolution)."""
     n, c_out, oh, ow = dout.shape
     c_in = w.shape[1]
-    wmat = w.reshape(c_out, -1)
-    dflat = dout.reshape(n, c_out, oh * ow).transpose(0, 2, 1)
-    dcols = (dflat @ wmat).reshape(n, oh, ow, c_in, 3, 3)
+    d = _nhwc(dout).reshape(n * oh * ow, c_out)
+    dcols = (d @ _wmat(w).T).reshape(n, oh, ow, 9, c_in)
     h, w_ = in_hw
-    dxp = np.zeros((n, c_in, h + 2 * pad, w_ + 2 * pad), dtype=dout.dtype)
-    for ky in range(3):
-        for kx in range(3):
-            dxp[:, :, ky : ky + oh, kx : kx + ow] += dcols[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
-    if pad:
-        return dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+    dxp = np.zeros((n, h + 2 * pad, w_ + 2 * pad, c_in), dtype=dout.dtype)
+    for k in range(9):
+        ky, kx = divmod(k, 3)
+        dxp[:, ky : ky + oh, kx : kx + ow] += dcols[:, :, :, k]
+    return dxp[:, pad : pad + h, pad : pad + w_].transpose(0, 3, 1, 2)
 
 
 def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
+    # One GEMM over the whole batch reduces along n * OH * OW, and OpenBLAS
+    # rounds that long reduction differently at 1 and 2 threads, so the
+    # bits of dw (and of every trained checkpoint) would follow the thread
+    # count. Partial products over _WGRAD_BLOCK whole samples, summed in
+    # sample order, give the same bits at 1 and 2 threads.
     n, c_out, oh, ow = dout.shape
     cols, _, _ = _im2col(x_in, pad)
-    dflat = dout.reshape(n, c_out, oh * ow).transpose(0, 2, 1)
-    dw = np.einsum("npc,npk->ck", dflat, cols)
-    db = dout.sum(axis=(0, 2, 3))
-    return dw.reshape(c_out, x_in.shape[1], 3, 3), db
+    d = _nhwc(dout).reshape(n * oh * ow, c_out)
+    rows = _WGRAD_BLOCK * oh * ow
+    dw = cols[:rows].T @ d[:rows]
+    for start in range(rows, n * oh * ow, rows):
+        dw += cols[start : start + rows].T @ d[start : start + rows]
+    db = d.sum(axis=0)
+    # C-ordered like the weights, so the optimizer's updates stay C-ordered too
+    dw = np.ascontiguousarray(dw.reshape(3, 3, x_in.shape[1], c_out).transpose(3, 2, 0, 1))
+    return dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +468,7 @@ def load(path) -> NetworkParams:
     off += 4
     try:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptPayload(f"unreadable header: {exc}") from exc
     off += header_len
     _check_header(header)
@@ -447,12 +483,13 @@ def load(path) -> NetworkParams:
         if not isinstance(shape, list) or tuple(shape) != specs[name]:
             raise CorruptPayload(f"shape mismatch for {name}: {shape} vs {specs[name]}")
         shape = specs[name]
-        count = int(np.prod(shape))
-        arr = np.frombuffer(body, tag, count=count, offset=off)
-        if arr.size != count:
+        count = math.prod(shape)
+        end = off + count * np.dtype(tag).itemsize
+        if end > len(body):
             raise CorruptPayload("truncated payload")
+        arr = np.frombuffer(body, tag, count=count, offset=off)
         tensors[name] = arr.reshape(shape).astype(header["dtype"])
-        off += count * np.dtype(tag).itemsize
+        off = end
     if off != len(body):
         raise CorruptPayload("trailing bytes in payload")
     if len(tensors) != len(specs):

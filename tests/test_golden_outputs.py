@@ -131,7 +131,7 @@ GOLDEN = {
     "play_vs_random": (4, 0, 0, 2, 6),
     "round_robin_csv": "faeb69c6c49064ff36bdcba1817160b1d1fb1a4d2558bdc2ddcd4c695fc7c2ea",
     "self_play_f32": (
-        "e8437fa792c7e4827fbc2fbcb6495367aa30a05f488e6657792f8a8969fbb8a3",
+        "010436b285f0248c6241b8e5fc4f8bc7f87063fb010bb7a2c68ca60880c21505",
         [21, 23, 21, 13, 21, 20],
     ),
     "self_play_f64": (
@@ -140,9 +140,9 @@ GOLDEN = {
     ),
     "shapley_csv": "f605f278e064d2ce467296a6d5fa061eaf05539c691931db94c204f7f7ecdeaa",
     "train": (
-        "28e2645b1d1122bcc7d16cebd4c9876b0b4f844388218240be5091c317e310ac",
-        "fa175775b3b921fae3b65c99f3c9e223f1df60a82c0b7b28feeec14fd3923ffc",
-        "ef085d916ca5c9e544795eb6121f19e24ab4c36c42eb86f07744d635db608a17",
+        "2a0af9a2285a49b45bcec4757d62f010e09c586021b6a99e6edde2cdc7f72f97",
+        "9c02a8dbba338375670cf2091c73c9650dce452983b3107a52e674d2557eb98a",
+        "205cab9171b71510a7570ebebd3df5ef46bb06fa9a269a552c7e508339ded746",
     ),
 }
 

@@ -1,8 +1,16 @@
 """Network forward/backward checks against scalar-loop references and
 central finite differences."""
 
+import hashlib
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4xai import engine, network
 
@@ -39,6 +47,12 @@ def test_conv_spatial_dims():
     assert shapes == [(6, 7), (6, 7), (4, 5), (2, 3)]
     assert trace.flat.shape[1] == 6 * 8
     assert network.ArchDescriptor(8).flatten_size == 48
+    # conv results are NCHW-shaped (n, C, H, W) at any batch size
+    for n in (1, 5):
+        trace = network.forward(params, np.stack([random_input(i) for i in range(n)]))
+        expected = [(n, 8, h, w) for h, w in shapes]
+        assert [z.shape for z in trace.conv_z] == expected
+        assert [a.shape for a in trace.conv_a] == expected
 
 
 def test_param_specs_order_and_shapes():
@@ -104,6 +118,68 @@ def test_flatten_order_is_channel_major():
     params = make_params(4, seed=5)
     trace = network.forward(params, random_input(6))
     assert np.array_equal(trace.flat[0], trace.conv_a[-1][0].ravel())
+
+
+# --- conv primitives ------------------------------------------------------------
+
+CONV_CASES = [  # (c_in, pad, input H, W): conv1 to conv4
+    (3, 1, (6, 7)),
+    (5, 1, (6, 7)),
+    (5, 0, (6, 7)),
+    (5, 0, (4, 5)),
+]
+
+
+def nhwc_backed(a):
+    """The same values as the NCHW array ``a``, as a view of NHWC memory."""
+    view = np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,pad,hw", CONV_CASES)
+def test_conv_primitives_ignore_the_memory_layout(c_in, pad, hw, dtype):
+    rng = np.random.default_rng(41)
+    n, c_out = 3, 4
+    oh, ow = hw[0] + 2 * pad - 2, hw[1] + 2 * pad - 2
+    x = rng.normal(size=(n, c_in) + hw).astype(dtype)
+    w = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+    b = rng.normal(size=c_out).astype(dtype)
+    d = rng.normal(size=(n, c_out, oh, ow)).astype(dtype)
+
+    z = network.conv_forward(x, w, b, pad)
+    assert z.shape == (n, c_out, oh, ow)
+    assert np.array_equal(z, network.conv_forward(nhwc_backed(x), w, b, pad))
+    dx = network.conv_input_backward(d, w, hw, pad)
+    assert dx.shape == x.shape
+    assert np.array_equal(dx, network.conv_input_backward(nhwc_backed(d), w, hw, pad))
+    dw, db = network._conv_param_backward(d, x, pad)
+    dw_view, db_view = network._conv_param_backward(nhwc_backed(d), nhwc_backed(x), pad)
+    assert np.array_equal(dw, dw_view) and np.array_equal(db, db_view)
+
+
+def weight_grad_reference(d, x, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return np.einsum("nohw,nihwyx->oiyx", d, win), d.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("n", [1, 8, 13, 37])
+@pytest.mark.parametrize("c_in,pad,hw", CONV_CASES)
+def test_weight_gradient_matches_einsum(c_in, pad, hw, n, dtype, tol):
+    # n = 13 and 37 end in a partial block of the blocked reduction
+    rng = np.random.default_rng(43 + n)
+    c_out = 6
+    oh, ow = hw[0] + 2 * pad - 2, hw[1] + 2 * pad - 2
+    x = rng.normal(size=(n, c_in) + hw).astype(dtype)
+    d = rng.normal(size=(n, c_out, oh, ow)).astype(dtype)
+    dw, db = network._conv_param_backward(d, x, pad)
+    ref_dw, ref_db = weight_grad_reference(d.astype(np.float64), x.astype(np.float64), pad)
+    assert dw.shape == (c_out, c_in, 3, 3) and dw.dtype == dtype
+    assert np.abs(dw - ref_dw).max() <= tol * np.abs(ref_dw).max()
+    assert np.abs(db - ref_db).max() <= tol * np.abs(ref_db).max()
 
 
 # --- gradient checks ----------------------------------------------------------
@@ -415,6 +491,94 @@ def test_malformed_header_is_corrupt_payload(tmp_path, case):
         network.load(path)
     assert "checksum" not in str(exc.value)
 
+
+
+def _small_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ckpt"
+        network.save(make_params(1, seed=39, dtype=np.float32), path)
+        return path.read_bytes()
+
+
+SMALL_CKPT = _small_checkpoint()
+_HEADER_AT = len(network.CHECKPOINT_MAGIC) + 8
+_HEADER_LEN = struct.unpack_from("<I", SMALL_CKPT, _HEADER_AT - 4)[0]
+SMALL_HEADER = json.loads(SMALL_CKPT[_HEADER_AT : _HEADER_AT + _HEADER_LEN])
+SMALL_PAYLOAD = SMALL_CKPT[_HEADER_AT + _HEADER_LEN : -32]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+header_keys = st.sampled_from(sorted(SMALL_HEADER) + ["extra"])
+
+
+@st.composite
+def crafted_headers(draw):
+    """Header bytes: the valid header with one field replaced, deleted or
+    one of its parameters' entries edited, or arbitrary JSON or bytes."""
+    kind = draw(st.sampled_from(["replace", "delete", "param", "json", "bytes"]))
+    header = json.loads(json.dumps(SMALL_HEADER))
+    if kind == "replace":
+        header[draw(header_keys)] = draw(json_values)
+    elif kind == "delete":
+        header.pop(draw(header_keys), None)
+    elif kind == "param":
+        name = draw(st.sampled_from(header["param_order"]))
+        header["shapes"][name] = draw(json_values)
+        header["param_order"] = draw(st.permutations(header["param_order"]))
+    elif kind == "json":
+        header = draw(json_values)
+    else:
+        return draw(st.binary(max_size=64))
+    return json.dumps(header).encode()
+
+
+def pack(header: bytes, payload: bytes, header_len=None) -> bytes:
+    if header_len is None:
+        header_len = len(header)
+    body = (
+        network.CHECKPOINT_MAGIC
+        + struct.pack("<II", network.CHECKPOINT_VERSION, header_len)
+        + header
+        + payload
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+def load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ckpt"
+        path.write_bytes(blob)
+        return network.load(path)
+
+
+def test_pack_rebuilds_the_saved_file():
+    header = SMALL_CKPT[_HEADER_AT : _HEADER_AT + _HEADER_LEN]
+    assert pack(header, SMALL_PAYLOAD) == SMALL_CKPT
+    assert load_bytes(SMALL_CKPT).arch.conv_channels == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=crafted_headers(),
+    cut=st.integers(0, len(SMALL_PAYLOAD)),
+    extra=st.binary(max_size=16),
+    header_len=st.none() | st.integers(0, 2**32 - 1),
+    rehash=st.booleans(),
+)
+def test_load_raises_only_network_errors(header, cut, extra, header_len, rehash):
+    blob = pack(header, SMALL_PAYLOAD[: len(SMALL_PAYLOAD) - cut] + extra, header_len)
+    if not rehash:
+        blob = blob[:-32] + SMALL_CKPT[-32:]
+    try:
+        params = load_bytes(blob)
+    except network.NetworkError:
+        return
+    # a file that loads must be a complete, well-formed checkpoint
+    assert sorted(params.tensors) == sorted(name for name, _ in params.arch.param_specs())
 
 def test_sample_action_renormalises_float64_policy_in_place():
     policy = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2])
