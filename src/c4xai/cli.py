@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
     except (
-        training.ConfigError,
+        training.TrainingError,
         network.NetworkError,
         engine.EngineError,
         charfn.CharFnError,

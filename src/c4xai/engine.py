@@ -184,11 +184,43 @@ def outcome(board: BoardState) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Game runner: every game in the package is played through ``play``.
+# Game runner: every game in the package is played through ``play_lockstep``.
 # ---------------------------------------------------------------------------
 
+def play_lockstep(choose: Callable, games: int) -> list:
+    """Play ``games`` games from the empty board side by side.
+
+    Every ply calls ``choose(indices, boards)`` once, with the indices of
+    the games still running in ascending order and their boards, and
+    takes one column per index back. A column outside
+    ``board.legal_moves()`` ends its own game before it is applied; the
+    other games play on. Returns one (final board, its Outcome,
+    offending colour or None) per game, in game order.
+    """
+    boards = [new_board()] * games
+    results = [None] * games
+    live = list(range(games))  # the empty board is never terminal
+    while live:
+        cols = choose(live, [boards[i] for i in live])
+        still = []
+        for i, col in zip(live, cols):
+            board = boards[i]
+            if col not in board.legal_moves():
+                results[i] = (board, Outcome(ONGOING), board.to_move)
+                continue
+            board = boards[i] = apply_move(board, col)
+            out = outcome(board)
+            if out.is_terminal:
+                results[i] = (board, out, None)
+            else:
+                still.append(i)
+        live = still
+    return results
+
+
 def play(movers: Mapping[int, Callable]) -> tuple:
-    """Play one game from the empty board.
+    """Play one game from the empty board: the one-game case of
+    ``play_lockstep``.
 
     ``movers`` maps RED and BLUE to ``board -> column`` functions. A
     column outside ``board.legal_moves()`` ends the game before it is
@@ -196,15 +228,11 @@ def play(movers: Mapping[int, Callable]) -> tuple:
     None); the column record is ``final.history`` and the game length
     ``final.turn``.
     """
-    board = new_board()
-    while True:
-        out = outcome(board)
-        if out.is_terminal:
-            return board, out, None
-        col = movers[board.to_move](board)
-        if col not in board.legal_moves():
-            return board, out, board.to_move
-        board = apply_move(board, col)
+
+    def choose(_, boards):
+        return [movers[boards[0].to_move](boards[0])]
+
+    return play_lockstep(choose, 1)[0]
 
 
 def result_for(out: Outcome, offender: Optional[int], colour: int) -> str:
@@ -307,44 +335,6 @@ def text_to_cells(text: str) -> tuple:
             else:
                 raise ValueError(f"bad character {chr_!r} at row {i}, col {col}")
     return tuple(tuple(r) for r in grid)
-
-
-def tensor_to_text(x: np.ndarray) -> str:
-    """Render an encoded tensor; hidden occupied cells print as '?'."""
-    if x.shape != (3, ROWS, COLS):
-        raise ValueError(f"expected shape (3, {ROWS}, {COLS}), got {x.shape}")
-    lines = []
-    for row in range(ROWS - 1, -1, -1):
-        chars = []
-        for col in range(COLS):
-            r, b, o = x[0, row, col], x[1, row, col], x[2, row, col]
-            if o:
-                chars.append(".")
-            elif r:
-                chars.append("r")
-            elif b:
-                chars.append("b")
-            else:
-                chars.append(HIDDEN_CHAR)
-        lines.append("".join(chars))
-    return "\n".join(lines)
-
-
-def text_to_tensor(text: str, dtype=np.float64) -> np.ndarray:
-    """Inverse of tensor_to_text (channel 0 red, channel 1 blue)."""
-    grid = text_to_cells(text)
-    x = np.zeros((3, ROWS, COLS), dtype=dtype)
-    for row in range(ROWS):
-        for col in range(COLS):
-            v = grid[row][col]
-            if v == EMPTY:
-                x[2, row, col] = 1.0
-            elif v == RED:
-                x[0, row, col] = 1.0
-            elif v == BLUE:
-                x[1, row, col] = 1.0
-            # value 3 (hidden) stays the all-zero triple
-    return x
 
 
 def _win_at(cells, row: int, col: int) -> bool:

@@ -345,6 +345,7 @@ def backward(
     relu_rule: str = "exact",
     relu_local_grad: Optional[dict] = None,
     want_param_grads: bool = True,
+    want_input_grad: bool = True,
 ):
     """Reverse pass for <policy_grad, policy> + <value_grad, value>.
 
@@ -355,7 +356,8 @@ def backward(
     signal where either the forward activation or the incoming backward
     signal is non-positive. ``relu_local_grad`` overrides the ReLU local
     derivative per layer name (rescale-style rules).
-    Returns (param gradient dict, input gradient).
+    Returns (param gradient dict, input gradient); without
+    ``want_input_grad`` conv1's input gradient is skipped and None.
     """
     t = params.tensors
     n = trace.x.shape[0]
@@ -404,6 +406,8 @@ def backward(
             dw, db = _conv_param_backward(d, a_prev, pad)
             grads[f"conv{i}_w"] = dw
             grads[f"conv{i}_b"] = db
+        if i == 1 and not want_input_grad:
+            return grads, None
         d = conv_input_backward(d, t[f"conv{i}_w"], a_prev.shape[2:], pad)
     return grads, d
 

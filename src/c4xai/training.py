@@ -12,13 +12,20 @@ ends its game, and only that offending turn is kept for the update;
 the game's earlier turns are discarded. Updates run every 10 finished
 games: four full-batch Adam steps on the clipped-surrogate policy loss
 (weight 1.0), squared-error value loss (0.5), and entropy bonus (0.01).
+
+The games of one update are played in lockstep (``engine.play_lockstep``)
+with one batched forward per ply. Each ply draws p_h and the hidden set
+for every running game in game order, runs the forward, then samples the
+actions in game order; so the random stream, and with it every trained
+bit, depends on ``update_every``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,6 +49,13 @@ class NonFiniteLoss(TrainingError):
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}  # by PPOConfig field type
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass
 class PPOConfig:
     gamma: float = 0.75
@@ -63,6 +77,9 @@ class PPOConfig:
     checkpoint_every: int = 500
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not _finite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("gamma", "clip_eps", "learning_rate"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -70,12 +87,6 @@ class PPOConfig:
             raise ConfigError("p_h_max must lie in [0, 1]")
         if self.update_every < 1 or self.epochs_per_update < 1 or self.total_games < 1:
             raise ConfigError("update_every, epochs_per_update, total_games must be >= 1")
-
-    def to_json(self, path) -> str:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return str(path)
 
     @classmethod
     def from_json(cls, path) -> "PPOConfig":
@@ -115,36 +126,52 @@ class Transition:
 
 
 def self_play_episode(
-    params: network.NetworkParams, config: PPOConfig, rng: np.random.Generator
+    params: network.NetworkParams, config: PPOConfig, rng: np.random.Generator, games: int = 1
 ) -> list:
-    """One self-play game; both sides sample from the policy.
+    """Self-play ``games`` games in lockstep; both sides sample from the policy.
 
-    Returns the stored transitions in ply order with discounted returns
-    filled in. An illegal move yields a single -2 transition and drops
-    the rest of the game.
+    Every ply draws p_h and the hidden set for each running game in game
+    order, runs one forward on the stacked encodings, then samples the
+    actions in game order. Returns the stored transitions game by game,
+    each game's in ply order with discounted returns filled in. An
+    illegal move yields a single -2 transition for its game and drops
+    the rest of that game.
     """
-    transitions = []
+    played = [[] for _ in range(games)]
 
-    def move(board):
-        mover = board.to_move
-        p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
-        revealed = engine.sample_hidden(board, p_h, rng)
-        x = engine.encode(board, revealed, perspective=mover, dtype=params.dtype)
-        policy, value = network.policy_value(params, x)
-        action = network.sample_action(policy, rng)
-        transitions.append(
-            Transition(state=x, action=action, prob=float(policy[action]), value=value, player=mover)
-        )
-        return action
+    def choose(indices, boards):
+        xs = []
+        for board in boards:
+            p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
+            revealed = engine.sample_hidden(board, p_h, rng)
+            xs.append(engine.encode(board, revealed, perspective=board.to_move, dtype=params.dtype))
+        trace = network.forward(params, np.stack(xs))
+        actions = []
+        for i, board, x, policy, value in zip(indices, boards, xs, trace.policy, trace.value):
+            action = network.sample_action(policy, rng)
+            played[i].append(
+                Transition(
+                    state=x,
+                    action=action,
+                    prob=float(policy[action]),
+                    value=float(value),
+                    player=board.to_move,
+                )
+            )
+            actions.append(action)
+        return actions
 
-    _, out, offender = engine.play({engine.RED: move, engine.BLUE: move})
-    if offender is not None:
-        tr = transitions[-1]
-        tr.reward = tr.ret = REWARDS["illegal"]
-        tr.done = True
-        return [tr]
-    _assign_terminal_rewards(transitions, out, config.gamma)
-    return transitions
+    stored = []
+    for transitions, (_, out, offender) in zip(played, engine.play_lockstep(choose, games)):
+        if offender is not None:
+            tr = transitions[-1]
+            tr.reward = tr.ret = REWARDS["illegal"]
+            tr.done = True
+            stored.append(tr)
+        else:
+            _assign_terminal_rewards(transitions, out, config.gamma)
+            stored.extend(transitions)
+    return stored
 
 
 def _assign_terminal_rewards(transitions, out: engine.Outcome, gamma: float):
@@ -257,7 +284,9 @@ def ppo_update(
         g_pol[idx, actions] = -config.policy_weight * dsurr_dratio / old_probs / n
         g_pol += config.entropy_weight * (np.log(np.clip(p, 1e-12, None)) + 1.0) / n
         g_val = config.value_weight * 2.0 * (v - returns) / n
-        grads, _ = network.backward(params, trace, policy_grad=g_pol, value_grad=g_val)
+        grads, _ = network.backward(
+            params, trace, policy_grad=g_pol, value_grad=g_val, want_input_grad=False
+        )
         params = adam_step(params, grads, opt_state, config)
     return params, opt_state, stats
 
@@ -275,7 +304,13 @@ LOG_COLUMNS = ("games", "mean_return", "policy_loss", "value_loss", "entropy", "
 
 def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> TrainResult:
     """Full training loop: self-play, periodic updates, CSV log, and
-    checkpoints every ``checkpoint_every`` games plus a final one."""
+    checkpoints every ``checkpoint_every`` games plus a final one.
+
+    Games are played in chunks of ``update_every`` (fewer for the last
+    chunk) and each full chunk ends in one update. ``progress(game, row)``
+    fires once per game in order, and a checkpoint at game g holds the
+    params of the last update at or before g.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -285,33 +320,37 @@ def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> Tr
 
     log_path = out / "training_log.csv"
     history = []
-    buffer = []
-    window_illegal = []
+
+    def finish_game(game):
+        if config.checkpoint_every and game % config.checkpoint_every == 0:
+            _save_checkpoint(params, config, game, out / f"checkpoint_g{game}.ckpt")
+        if progress is not None:
+            progress(game, history[-1] if history else None)
+
     with open(log_path, "w", newline="") as log_fh:
         writer = csv.writer(log_fh)
         writer.writerow(LOG_COLUMNS)
-        for game in range(1, config.total_games + 1):
-            transitions = self_play_episode(params, config, rng)
-            buffer.extend(transitions)
-            window_illegal.append(any(tr.reward == REWARDS["illegal"] for tr in transitions))
-            if game % config.update_every == 0 and buffer:
-                params, opt_state, stats = ppo_update(params, buffer, config, opt_state)
+        played = 0
+        while played < config.total_games:
+            chunk = min(config.update_every, config.total_games - played)
+            batch = self_play_episode(params, config, rng, games=chunk)
+            for game in range(played + 1, played + chunk):
+                finish_game(game)  # before the chunk's update, as played
+            played += chunk
+            if played % config.update_every == 0:
+                params, opt_state, stats = ppo_update(params, batch, config, opt_state)
+                illegal = sum(tr.reward == REWARDS["illegal"] for tr in batch)
                 row = {
-                    "games": game,
-                    "mean_return": float(np.mean([tr.ret for tr in buffer])),
+                    "games": played,
+                    "mean_return": float(np.mean([tr.ret for tr in batch])),
                     "policy_loss": stats["policy_loss"],
                     "value_loss": stats["value_loss"],
                     "entropy": stats["entropy"],
-                    "illegal_rate": float(np.mean(window_illegal)),
+                    "illegal_rate": illegal / chunk,  # one -2 row per illegal game
                 }
                 history.append(row)
                 writer.writerow([row[c] for c in LOG_COLUMNS])
-                buffer = []
-                window_illegal = []
-            if config.checkpoint_every and game % config.checkpoint_every == 0:
-                _save_checkpoint(params, config, game, out / f"checkpoint_g{game}.ckpt")
-            if progress is not None:
-                progress(game, history[-1] if history else None)
+            finish_game(played)
     ckpt = _save_checkpoint(params, config, config.total_games, out / "checkpoint_final.ckpt")
     return TrainResult(
         checkpoint_path=ckpt, log_path=str(log_path), config=config, history=history

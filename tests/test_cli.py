@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c4xai import cli, network
+from c4xai import cli, network, training
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +94,27 @@ def test_mistyped_train_config_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ['{"gamma": Infinity}', '{"learning_rate": NaN}'])
+def test_non_finite_train_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "ppo.json"
+    cfg.write_text(text)
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_diverged_training_exits_2(tmp_path, capsys, monkeypatch):
+    def diverge(config, out_dir, progress=None):
+        raise training.NonFiniteLoss("loss diverged at epoch 0")
+
+    monkeypatch.setattr(training, "train", diverge)
+    code = cli.main(["train", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "loss diverged" in capsys.readouterr().err
 
 
 def test_train_game_override_beats_the_config(tmp_path):

@@ -154,6 +154,56 @@ def test_overline_reports_whole_run():
     assert engine.outcome(board).winning_cells == frozenset((0, c) for c in range(5))
 
 
+# --- game runner ------------------------------------------------------------
+
+def scripted_mover(game):
+    """A deterministic mover that plays differently in each game."""
+
+    def move(board):
+        legal = board.legal_moves()
+        return legal[(3 * game + 5 * board.turn + board.turn // 7) % len(legal)]
+
+    return move
+
+
+def test_lockstep_matches_one_game_at_a_time():
+    calls = []
+
+    def choose(indices, boards):
+        calls.append(list(indices))
+        return [scripted_mover(i)(b) for i, b in zip(indices, boards)]
+
+    results = engine.play_lockstep(choose, 5)
+    singles = [engine.play({engine.RED: scripted_mover(i), engine.BLUE: scripted_mover(i)})
+               for i in range(5)]
+    assert results == singles
+    assert len({final.turn for final, _, _ in results}) > 1  # games end at different plies
+    assert len(calls) == max(final.turn for final, _, _ in results)
+    for ply, indices in enumerate(calls):
+        assert indices == [i for i, (final, _, _) in enumerate(results) if final.turn > ply]
+
+
+def test_lockstep_illegal_column_ends_only_its_game():
+    seen = []
+
+    def choose(indices, boards):
+        seen.append(list(indices))
+        return [0 if i == 1 else scripted_mover(i)(b) for i, b in zip(indices, boards)]
+
+    results = engine.play_lockstep(choose, 3)
+    final, out, offender = results[1]
+    # column 0 fills after six plies with no win; the seventh is illegal, unapplied
+    assert final.turn == 6 and final.history == tuple((0, c) for c in (1, 2) * 3)
+    assert out.kind == engine.ONGOING
+    assert offender == engine.RED
+    assert 1 in seen[6] and all(1 not in indices for indices in seen[7:])
+    for i in (0, 2):
+        final, out, offender = results[i]
+        assert offender is None and out.is_terminal
+        assert final.turn > 7
+        assert final == engine.replay(col for col, _ in final.history)
+
+
 # --- encoding ---------------------------------------------------------------
 
 def test_encode_full_information():
@@ -293,16 +343,6 @@ def test_board_text_hidden_view():
     assert cells[1][3] == 3  # hidden marker value
     with pytest.raises(engine.UnreachablePosition):
         engine.board_from_text(text)  # hidden cells are not a position
-
-
-def test_tensor_text_round_trip():
-    board = engine.replay([3, 3, 4])
-    revealed = frozenset({(0, 3), (0, 4)})
-    x = engine.encode(board, revealed)
-    text = engine.tensor_to_text(x)
-    back = engine.text_to_tensor(text)
-    assert np.array_equal(x, back)
-    assert "?" in text
 
 
 def test_board_from_text_reconstructs_reachable_position():

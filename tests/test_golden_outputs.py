@@ -140,9 +140,9 @@ GOLDEN = {
     ),
     "shapley_csv": "f605f278e064d2ce467296a6d5fa061eaf05539c691931db94c204f7f7ecdeaa",
     "train": (
-        "2a0af9a2285a49b45bcec4757d62f010e09c586021b6a99e6edde2cdc7f72f97",
-        "9c02a8dbba338375670cf2091c73c9650dce452983b3107a52e674d2557eb98a",
-        "205cab9171b71510a7570ebebd3df5ef46bb06fa9a269a552c7e508339ded746",
+        "fd414ab7ce750e555025c1b8e7abe412c1cc247b0d3cad3a5c9ca3ddfcf1bf14",
+        "ed3cd828e10d8f5f6f84de92cbfd2e80b027167926152b6d7f64a5cd135b1fca",
+        "8cdd11de7f03f1c109e4ab699011b872a408be8b9a9b48920c2f359df0ed7855",
     ),
 }
 

@@ -243,6 +243,20 @@ def test_gradcheck_input():
         assert abs(fd - an) / denom <= 1e-4
 
 
+def test_skipping_the_input_gradient_keeps_the_parameter_gradients():
+    params = make_params(8, seed=5)
+    rng = np.random.default_rng(6)
+    x = rng.random((13, 3, 6, 7)).astype(np.float32)
+    trace = network.forward(params, x)
+    seeds = dict(policy_grad=rng.normal(size=(13, 7)), value_grad=rng.normal(size=13))
+    full, input_grad = network.backward(params, trace, **seeds)
+    lean, skipped = network.backward(params, trace, want_input_grad=False, **seeds)
+    assert input_grad.shape == x.shape and skipped is None
+    assert full.keys() == lean.keys()
+    for name in full:
+        assert np.array_equal(full[name], lean[name]), name
+
+
 def test_backward_at_logits():
     params = make_params(8, seed=15, dtype=np.float64)
     x = random_input(16)

@@ -5,8 +5,14 @@ value can be computed on paper; the loop tests run a miniature
 configuration end to end and check the artifacts it leaves behind.
 """
 
+import json
+import math
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4xai import engine, network, training
 from c4xai.training import PPOConfig, Transition
@@ -35,7 +41,8 @@ class TestPPOConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(p_h_max=0.25, learning_rate=3e-4)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        with open(path, "w") as fh:
+            json.dump(asdict(cfg), fh)
         assert PPOConfig.from_json(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -87,11 +94,64 @@ class TestPPOConfig:
             {"update_every": 0},
             {"epochs_per_update": 0},
             {"total_games": 0},
+            {"gamma": math.inf},
+            {"learning_rate": math.nan},
+            {"adam_eps": -math.inf},
+            {"entropy_weight": 10**400},
         ],
     )
     def test_out_of_range_values_rejected(self, kw):
         with pytest.raises(training.ConfigError):
             small_config(**kw)
+
+    @pytest.mark.parametrize("text", ['{"gamma": Infinity}', '{"learning_rate": NaN}'])
+    def test_non_finite_json_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(training.ConfigError, match="finite"):
+            PPOConfig.from_json(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_from_json_returns_a_config_or_raises_config_error(self, tmp_path_factory, data):
+        scalars = (
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(max_size=5)
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+            max_leaves=8,
+        )
+        typed = {
+            "float": st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats() | st.integers(),
+            "int": st.integers(),
+            "bool": st.booleans(),
+        }
+        # a few known keys over the defaults, so that many drafts pass the type checks
+        known = st.lists(
+            st.sampled_from(fields(PPOConfig)).flatmap(
+                lambda f: st.tuples(st.just(f.name), typed[f.type] | values)
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(dict)
+        keys = st.sampled_from([f.name for f in fields(PPOConfig)]) | st.text(max_size=8)
+        raw = data.draw(known | st.dictionaries(keys, values, max_size=6) | values)
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps(raw))
+        try:
+            cfg = PPOConfig.from_json(path)
+        except training.ConfigError:
+            return
+        assert isinstance(cfg, PPOConfig)
+        for f in fields(cfg):
+            if f.type == "float":
+                assert math.isfinite(getattr(cfg, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +292,94 @@ class TestSelfPlay:
         for tr in trs:
             assert 0.0 < tr.prob <= 1.0
             assert -1.0 <= tr.value <= 1.0
+
+
+class TestLockstepSelfPlay:
+    def play(self, monkeypatch, games, seed, p_h_max=0.0):
+        """Self-play ``games`` games; returns (flat rows, per-game results,
+        per-game rows, number of forwards)."""
+        params = network.init(network.ArchDescriptor(conv_channels=8), np.random.default_rng(12))
+        results, forwards = [], []
+        real_lockstep, real_forward = engine.play_lockstep, network.forward
+
+        def lockstep(choose, n):
+            results.extend(real_lockstep(choose, n))
+            return results
+
+        def forward(p, x):
+            forwards.append(len(x))
+            return real_forward(p, x)
+
+        monkeypatch.setattr(engine, "play_lockstep", lockstep)
+        monkeypatch.setattr(network, "forward", forward)
+        cfg = small_config(p_h_max=p_h_max)
+        rows = training.self_play_episode(params, cfg, np.random.default_rng(seed), games=games)
+        per_game, start = [], 0
+        for final, _, offender in results:
+            n = 1 if offender is not None else final.turn
+            per_game.append(rows[start : start + n])
+            start += n
+        assert start == len(rows)
+        return rows, results, per_game, forwards
+
+    def test_one_forward_per_ply_of_the_longest_game(self, monkeypatch):
+        _, results, _, forwards = self.play(monkeypatch, 4, seed=3, p_h_max=0.5)
+        plies = [final.turn + (offender is not None) for final, _, offender in results]
+        assert len(set(plies)) > 1
+        assert len(forwards) == max(plies)
+        assert forwards == [sum(p > ply for p in plies) for ply in range(max(plies))]
+
+    def test_each_games_rows_replay_legally(self, monkeypatch):
+        _, results, per_game, _ = self.play(monkeypatch, 8, seed=5)
+        legal_games = 0
+        for (final, out, offender), rows in zip(results, per_game):
+            if offender is not None:
+                continue
+            board = engine.new_board()
+            for tr in rows:
+                assert tr.player == board.to_move
+                expected = engine.encode(board, perspective=board.to_move, dtype=np.float32)
+                np.testing.assert_array_equal(tr.state, expected)
+                board = engine.apply_move(board, tr.action)
+            assert board == final and engine.outcome(board) == out and out.is_terminal
+            assert [tr.done for tr in rows].count(True) == 2
+            legal_games += 1
+        assert legal_games >= 3
+
+    def test_each_illegal_game_keeps_one_minus_two_row(self, monkeypatch):
+        rows, results, per_game, _ = self.play(monkeypatch, 8, seed=5)
+        illegal = [i for i, (_, _, offender) in enumerate(results) if offender is not None]
+        assert illegal
+        assert sum(tr.reward == training.REWARDS["illegal"] for tr in rows) == len(illegal)
+        for i in illegal:
+            (tr,) = per_game[i]
+            final, _, offender = results[i]
+            assert tr.reward == tr.ret == -2.0 and tr.done
+            assert tr.player == offender == final.to_move
+            assert tr.action not in final.legal_moves()
+
+
+def test_mid_chunk_checkpoints_hold_the_last_update(tmp_path):
+    def tensors(run, game):
+        return network.load(tmp_path / run / f"checkpoint_g{game}.ckpt").tensors
+
+    def same(a, b):
+        return all(np.array_equal(a[k], b[k]) for k in a)
+
+    seen = []
+    cfg = small_config(total_games=6, update_every=5, checkpoint_every=3, seed=4)
+    training.train(cfg, tmp_path / "every3", progress=lambda g, row: seen.append((g, row)))
+    assert [(g, row and row["games"]) for g, row in seen] == [
+        (1, None), (2, None), (3, None), (4, None), (5, 5), (6, 5)
+    ]
+    every1 = small_config(total_games=6, update_every=5, checkpoint_every=1, seed=4)
+    training.train(every1, tmp_path / "every1")
+    # games 1-4 are played before the first update, at game 5
+    assert same(tensors("every3", 3), tensors("every1", 3))
+    assert same(tensors("every1", 3), tensors("every1", 4))
+    assert not same(tensors("every1", 4), tensors("every1", 5))
+    assert same(tensors("every3", 6), tensors("every1", 5))
+    assert same(tensors("every1", 5), tensors("every1", 6))
 
 
 # ---------------------------------------------------------------------------
