@@ -380,20 +380,6 @@ def select_features(
     return select_top(scores, frac, rng)
 
 
-def explain_and_mask(
-    method: str,
-    params: network.NetworkParams,
-    board: engine.BoardState,
-    fraction: float,
-    rng: np.random.Generator,
-    perspective: Optional[int] = None,
-    opts: Optional[dict] = None,
-) -> np.ndarray:
-    """Full masker pipeline: the re-encoded tensor the player will see."""
-    revealed = select_features(method, params, board, fraction, rng, opts=opts)
-    return engine.encode(board, revealed, perspective=perspective, dtype=params.dtype)
-
-
 def dump_csv(maps, path, extra_rows: Optional[dict] = None) -> str:
     """Write maps as rows (method, board, channel, row, col, value)."""
     with open(path, "w", newline="") as fh:

@@ -15,8 +15,6 @@ training manifold of partially-hidden boards.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -200,32 +198,6 @@ class ShapleyResult:
         meta.update(extra_meta or {})
         rows = ([row, col, repr(float(phi))] for (row, col), phi in zip(self.features, self.values))
         return write_csv(path, ["row", "col", "phi"], rows, meta)
-
-
-def read_shapley_csv(path) -> ShapleyResult:
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = json.loads(val)
-            else:
-                data_lines.append(line)
-    for rec in csv.DictReader(data_lines):
-        rows.append(((int(rec["row"]), int(rec["col"])), float(rec["phi"])))
-    features = tuple(f for f, _ in rows)
-    values = np.array([v for _, v in rows])
-    return ShapleyResult(
-        features=features,
-        values=values,
-        n_samples=int(meta.pop("n_samples", 0)),
-        p=float(meta.pop("p", 0.0)),
-        epsilon=meta.pop("epsilon", None),
-        delta=meta.pop("delta", None),
-        meta=meta,
-    )
 
 
 def sample_count(epsilon: float, delta: float) -> int:

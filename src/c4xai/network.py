@@ -16,8 +16,10 @@ The conv layers compute on channels-last (NHWC) memory: im2col copies
 gradient and weight gradient are each a 2-D GEMM over those rows.
 Arguments and results keep the NCHW shape (n, C, H, W); a conv result
 is the ``transpose(0, 3, 1, 2)`` view of its NHWC buffer, so passing it
-on to the next layer costs no copy. Checkpoints store weights as
-(C_out, C_in, 3, 3). The weight gradient sums one GEMM per block of 8
+on to the next layer costs no copy. Conv weights likewise keep the
+(C_out, C_in, 3, 3) shape on (ky, kx, c_in, c_out) memory, so the GEMM
+weight matrix is a view; checkpoints store the (C_out, C_in, 3, 3)
+bytes. The weight gradient sums one GEMM per block of 8
 samples in sample order, not one GEMM over the batch, so training gives
 the same bits at any BLAS thread count (see ``_conv_param_backward``).
 """
@@ -131,6 +133,14 @@ class NetworkParams:
     dtype: np.dtype = np.dtype(np.float32)
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # conv weights live on (ky, kx, c_in, c_out) memory behind their
+        # (C_out, C_in, 3, 3) shape, so _wmat is a view, not a copy
+        for k, w in self.tensors.items():
+            if w.ndim == 4:
+                hwio = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+                self.tensors[k] = hwio.transpose(3, 2, 0, 1)
+
     def astype(self, dtype) -> "NetworkParams":
         dt = np.dtype(dtype)
         return NetworkParams(
@@ -194,7 +204,10 @@ def _nhwc(a: np.ndarray) -> np.ndarray:
 
 
 def _wmat(w: np.ndarray) -> np.ndarray:
-    """(C_out, C_in, 3, 3) weights as the (9 C_in, C_out) matrix in (ky, kx, c_in) order."""
+    """(C_out, C_in, 3, 3) weights as the (9 C_in, C_out) matrix in (ky, kx, c_in) order.
+
+    A view for weights on (ky, kx, c_in, c_out) memory (see NetworkParams), else a copy.
+    """
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
@@ -252,9 +265,9 @@ def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
     for start in range(rows, n * oh * ow, rows):
         dw += cols[start : start + rows].T @ d[start : start + rows]
     db = d.sum(axis=0)
-    # C-ordered like the weights, so the optimizer's updates stay C-ordered too
-    dw = np.ascontiguousarray(dw.reshape(3, 3, x_in.shape[1], c_out).transpose(3, 2, 0, 1))
-    return dw, db
+    # the (C_out, C_in, 3, 3) view of dw's (ky, kx, c_in, c_out) memory, the
+    # weights' own layout, so the optimizer's updates keep that layout too
+    return dw.reshape(3, 3, x_in.shape[1], c_out).transpose(3, 2, 0, 1), db
 
 
 # ---------------------------------------------------------------------------

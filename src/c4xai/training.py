@@ -87,6 +87,10 @@ class PPOConfig:
             raise ConfigError("p_h_max must lie in [0, 1]")
         if self.update_every < 1 or self.epochs_per_update < 1 or self.total_games < 1:
             raise ConfigError("update_every, epochs_per_update, total_games must be >= 1")
+        if self.conv_channels < 1:
+            raise ConfigError("conv_channels must be >= 1")
+        if self.checkpoint_every < 0 or self.seed < 0:
+            raise ConfigError("checkpoint_every and seed must be >= 0")
 
     @classmethod
     def from_json(cls, path) -> "PPOConfig":

@@ -250,31 +250,6 @@ def test_input_fraction_override_reveals_all():
     assert sel == frozenset(board.occupied_cells())
 
 
-def test_explain_and_mask_identity_at_full_fraction():
-    params, board = setup_case(61, n_moves=7)
-    for method in ("gradient", "random", "input"):
-        x = attribution.explain_and_mask(
-            method, params, board, 1.0, np.random.default_rng(2),
-            perspective=board.to_move,
-        )
-        assert np.array_equal(
-            x, engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-        )
-
-
-def test_explain_and_mask_hides_complement():
-    params, board = setup_case(67, n_moves=8)
-    x = attribution.explain_and_mask(
-        "gradient", params, board, 0.5, np.random.default_rng(3),
-        perspective=board.to_move,
-    )
-    colour_cells = int(x[0].sum() + x[1].sum())
-    assert colour_cells == 4  # ceil(0.5 * 8)
-    assert np.array_equal(
-        x[2], engine.encode(board, perspective=board.to_move)[2]
-    )
-
-
 def test_shapley_scorer_small_boards():
     params, board = setup_case(71, n_moves=1)
     # t = 1 with p = 0.5 leaves no admissible slot; the fallback must

@@ -283,21 +283,6 @@ def test_memoization_counts_unique_coalitions():
     assert len(calls) == 64  # 2^6 distinct masks despite 720 permutations
 
 
-# --- serialization -------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path):
-    nu, _, _ = make_net_game(5)
-    res = charfn.sample_shapley(nu, 40, np.random.default_rng(29), epsilon=0.25, delta=0.1)
-    path = tmp_path / "phi.csv"
-    res.to_csv(path)
-    back = charfn.read_shapley_csv(path)
-    assert back.features == res.features
-    assert np.array_equal(back.values, res.values)
-    assert back.n_samples == 40
-    assert back.epsilon == 0.25 and back.delta == 0.1
-    assert back.meta["form"] == "sampled"
-
-
 def _powerset(items):
     items = list(items)
     for mask in range(1 << len(items)):

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import find
+from hypothesis import strategies as st
 
-from c4xai import cli, network, training
+from c4xai import cli, engine, network, training
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +109,18 @@ def test_non_finite_train_config_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "text", ['{"checkpoint_every": -1}', '{"conv_channels": 0}', '{"seed": -1}']
+)
+def test_out_of_range_train_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "ppo.json"
+    cfg.write_text(text)
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_diverged_training_exits_2(tmp_path, capsys, monkeypatch):
     def diverge(config, out_dir, progress=None):
         raise training.NonFiniteLoss("loss diverged at epoch 0")
@@ -170,6 +184,29 @@ def test_shapley_sampled_partial_and_exact(tmp_path, checkpoint):
     ]
     assert rows[0] == "row,col,phi"
     assert len(rows) == 4  # header plus one row per placed piece
+
+
+def _fails_to_parse(text):
+    try:
+        engine.board_from_text(text)
+    except (ValueError, engine.EngineError):
+        return True
+    return False
+
+
+def test_shapley_on_an_unparsable_board_file_exits_2(tmp_path, checkpoint, capsys):
+    grids = st.lists(
+        st.text(alphabet=".rb?", min_size=7, max_size=7), min_size=6, max_size=6
+    ).map("\n".join)
+    board = tmp_path / "board.txt"
+    board.write_text(find(grids, _fails_to_parse))
+    out = tmp_path / "phi.csv"
+    code = cli.main(
+        ["shapley", "--checkpoint", checkpoint, "--board", str(board), "--out", str(out)]
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fw_mask_csv(tmp_path, checkpoint, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4xai import engine
 
@@ -384,6 +386,32 @@ def test_board_from_text_accepts_final_win():
     board = engine.replay([3, 0, 3, 1, 3, 2, 3])
     rebuilt = engine.board_from_text(engine.board_to_text(board))
     assert engine.outcome(rebuilt).kind == engine.RED_WINS
+
+
+# 6x7 grids over the text format's characters; most violate gravity or balance
+GRIDS = st.lists(
+    st.text(alphabet=".rb?", min_size=7, max_size=7), min_size=6, max_size=6
+).map("\n".join)
+
+
+@st.composite
+def stacked_grids(draw):
+    """Grids whose columns obey gravity, so the move-order search runs."""
+    cols = [draw(st.text(alphabet="rb", max_size=6)) for _ in range(7)]
+    return "\n".join(
+        "".join(c[r] if r < len(c) else "." for c in cols) for r in range(5, -1, -1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | GRIDS | stacked_grids())
+def test_board_from_text_raises_only_typed_errors(text):
+    try:
+        board = engine.board_from_text(text)
+    except (ValueError, engine.EngineError):
+        return
+    assert engine.text_to_cells(engine.board_to_text(board)) == engine.text_to_cells(text)
+    assert engine.replay([c for c, _ in board.history]).cells == board.cells
 
 
 def test_replay_and_key():

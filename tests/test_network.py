@@ -1,6 +1,7 @@
 """Network forward/backward checks against scalar-loop references and
 central finite differences."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4xai import engine, network
+from c4xai import attribution, engine, network, training
 
 
 def make_params(channels=8, seed=0, dtype=np.float64):
@@ -180,6 +181,65 @@ def test_weight_gradient_matches_einsum(c_in, pad, hw, n, dtype, tol):
     assert dw.shape == (c_out, c_in, 3, 3) and dw.dtype == dtype
     assert np.abs(dw - ref_dw).max() <= tol * np.abs(ref_dw).max()
     assert np.abs(db - ref_db).max() <= tol * np.abs(ref_db).max()
+
+
+# --- weight memory layout -----------------------------------------------------
+
+CONV_WEIGHTS = [f"conv{i}_w" for i in range(1, 5)]
+
+
+def test_conv_weights_live_in_gemm_order(tmp_path):
+    params = make_params(8, seed=3, dtype=np.float32)
+    path = tmp_path / "net.ckpt"
+    network.save(params, path)
+    x = np.stack([random_input(i) for i in range(3)])
+    grads, _ = network.backward(params, network.forward(params, x), policy_grad=np.ones((3, 7)))
+    state = training.init_adam_state(params)
+    stepped = training.adam_step(params, grads, state, training.PPOConfig(conv_channels=8))
+    built = {
+        "init": params,
+        "load": network.load(path),
+        "astype": params.astype(np.float64),
+        "copy": params.copy(),
+        "adam_step": stepped,
+    }
+    for origin, built_params in built.items():
+        for name in CONV_WEIGHTS:
+            w = built_params.tensors[name]
+            assert w.shape == params.tensors[name].shape
+            assert np.shares_memory(network._wmat(w), w), (origin, name)
+    for name in CONV_WEIGHTS:
+        assert np.shares_memory(network._wmat(grads[name]), grads[name]), name
+        assert np.shares_memory(network._wmat(state["m"][name]), state["m"][name]), name
+    assert np.array_equal(built["load"].tensors["conv2_w"], params.tensors["conv2_w"])
+
+
+def test_a_c_ordered_conv_weight_gives_the_same_bits():
+    params = make_params(8, seed=4, dtype=np.float32)
+    swapped = params.copy()
+    for name in CONV_WEIGHTS:
+        # the swap moves each weight from GEMM order to C order
+        w = params.tensors[name]
+        assert np.shares_memory(network._wmat(w), w), name
+        swapped.tensors[name] = np.ascontiguousarray(w)
+        assert not np.shares_memory(network._wmat(swapped.tensors[name]), swapped.tensors[name])
+    x = np.stack([random_input(i) for i in range(5)])
+    ta, tb = network.forward(params, x), network.forward(swapped, x)
+    for f in dataclasses.fields(ta):
+        a, b = getattr(ta, f.name), getattr(tb, f.name)
+        for u, v in zip(a, b) if isinstance(a, list) else [(a, b)]:
+            assert np.array_equal(u, v), f.name
+    rng = np.random.default_rng(5)
+    seeds = dict(policy_grad=rng.normal(size=(5, 7)), value_grad=rng.normal(size=5))
+    ga, dxa = network.backward(params, ta, **seeds)
+    gb, dxb = network.backward(swapped, tb, **seeds)
+    assert np.array_equal(dxa, dxb)
+    for name in ga:
+        assert np.array_equal(ga[name], gb[name]), name
+    board = engine.replay([3, 3, 4, 2, 5, 6, 0])
+    a = attribution.lrp_eps(params, board)
+    b = attribution.lrp_eps(swapped, board)
+    assert np.array_equal(a.scores, b.scores)
 
 
 # --- gradient checks ----------------------------------------------------------

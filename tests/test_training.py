@@ -98,6 +98,9 @@ class TestPPOConfig:
             {"learning_rate": math.nan},
             {"adam_eps": -math.inf},
             {"entropy_weight": 10**400},
+            {"checkpoint_every": -1},
+            {"conv_channels": 0},
+            {"seed": -1},
         ],
     )
     def test_out_of_range_values_rejected(self, kw):
