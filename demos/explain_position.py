@@ -37,8 +37,8 @@ def main():
         board = engine.apply_move(board, col)
     print(engine.board_to_text(board))
 
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    policy, value = network.policy_value(params, x)
+    trace = network.forward_boards(params, [board])  # full information
+    policy, value = trace.policy[0], trace.value[0]
     a_star = int(np.argmax(policy))
     print(f"agent plays column {a_star} "
           f"(p={policy[a_star]:.3f}, value={value:+.3f})")

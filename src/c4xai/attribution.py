@@ -12,7 +12,6 @@ sources too, so tournaments treat every masker uniformly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import charfn, engine, fwmask, network
+from .csvio import write_csv
 
 
 class AttributionError(Exception):
@@ -48,9 +48,8 @@ class SaliencyMap:
 
 
 def _full_trace(params, board):
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    trace = network.forward(params, x)
-    return x, trace, int(np.argmax(trace.policy[0]))
+    trace = network.forward_boards(params, [board])
+    return trace.x[0], trace, int(np.argmax(trace.policy[0]))
 
 
 def _prob_gradient(params, trace, a_star) -> np.ndarray:
@@ -161,8 +160,10 @@ def deeplift_rescale(
     """
     x, trace, a_star = _full_trace(params, board)
     if baseline is None:
-        baseline = engine.encode(board, frozenset(), perspective=board.to_move, dtype=params.dtype)
-    trace0 = network.forward(params, baseline)
+        trace0 = network.forward_boards(params, [board], [frozenset()])
+        baseline = trace0.x[0]
+    else:
+        trace0 = network.forward(params, baseline)
 
     local = {}
     for i in range(1, len(network.CONV_PADS) + 1):
@@ -380,17 +381,11 @@ def select_features(
     return select_top(scores, frac, rng)
 
 
-def dump_csv(maps, path, extra_rows: Optional[dict] = None) -> str:
+def dump_csv(maps, path) -> str:
     """Write maps as rows (method, board, channel, row, col, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "board", "channel", "row", "col", "value"])
-        for smap in maps:
-            bh = hashlib.sha256(smap.board_key).hexdigest()[:16]
-            for ch in range(3):
-                for row in range(engine.ROWS):
-                    for col in range(engine.COLS):
-                        writer.writerow(
-                            [smap.method, bh, ch, row, col, repr(float(smap.scores[ch, row, col]))]
-                        )
-    return str(path)
+    rows = []
+    for smap in maps:
+        bh = hashlib.sha256(smap.board_key).hexdigest()[:16]
+        for (ch, row, col), val in np.ndenumerate(smap.scores):
+            rows.append([smap.method, bh, ch, row, col, repr(float(val))])
+    return write_csv(path, ["method", "board", "channel", "row", "col", "value"], rows)

@@ -150,17 +150,12 @@ class _NetworkGame(CharacteristicFn):
     def __init__(self, params: network.NetworkParams, board: engine.BoardState, head: str):
         if engine.outcome(board).is_terminal:
             raise CharFnError("characteristic functions are defined on ongoing positions")
-        full_policy, _ = network.policy_value(
-            params, engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-        )
-        a_star = int(np.argmax(full_policy))
+        a_star = int(np.argmax(network.forward_boards(params, [board]).policy[0]))
         super().__init__(board.occupied_cells(), None, head=head, board=board, a_star=a_star)
         self._params = params
 
     def _evaluate(self, coalitions):
-        mover, dtype = self.board.to_move, self._params.dtype
-        x = [engine.encode(self.board, c, perspective=mover, dtype=dtype) for c in coalitions]
-        trace = network.forward(self._params, np.stack(x))
+        trace = network.forward_boards(self._params, [self.board] * len(coalitions), coalitions)
         return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, charfn, engine, fwmask, harness, mcts, network, training
+from .csvio import write_csv
 
 
 def _add_common(p, checkpoint=True):
@@ -94,12 +95,11 @@ def cmd_benchmark(args) -> int:
         f"losses={stats.losses} illegal={stats.illegal} win_rate={stats.win_rate:.3f}"
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("wins,draws,losses,illegal,n_games,win_rate\n")
-            fh.write(
-                f"{stats.wins},{stats.draws},{stats.losses},{stats.illegal},"
-                f"{stats.n_games},{stats.win_rate}\n"
-            )
+        write_csv(
+            args.out,
+            ["wins", "draws", "losses", "illegal", "n_games", "win_rate"],
+            [[stats.wins, stats.draws, stats.losses, stats.illegal, stats.n_games, stats.win_rate]],
+        )
         _sidecar(args, args.out)
     return 0
 
@@ -162,10 +162,8 @@ def cmd_saliency_dump(args) -> int:
     except attribution.UnknownMethod:
         # piece-level methods (shapley, fw) have no full tensor map
         scores = attribution.piece_scores(args.method, params, board, rng, fraction=args.fraction)
-        with open(out, "w") as fh:
-            fh.write("method,row,col,value\n")
-            for (row, col), val in sorted(scores.items()):
-                fh.write(f"{args.method},{row},{col},{val!r}\n")
+        rows = [[args.method, row, col, repr(float(v))] for (row, col), v in sorted(scores.items())]
+        write_csv(out, ["method", "row", "col", "value"], rows)
     else:
         attribution.dump_csv([smap], out)
     _sidecar(args, out)
@@ -179,12 +177,12 @@ def cmd_groundtruth(args) -> int:
     cases = harness.harvest_ground_truth(params, args.cases, rng, confidence=args.confidence)
     methods = args.methods.split(",") if args.methods else list(attribution.method_names())
     out = args.out or "groundtruth.csv"
-    with open(out, "w") as fh:
-        fh.write("method,hits0,hits1,hits2,hits3,n_cases\n")
-        for method in methods:
-            hist = harness.ground_truth_score(cases, method, params, rng, fraction=args.fraction)
-            fh.write(f"{method},{hist[0]},{hist[1]},{hist[2]},{hist[3]},{len(cases)}\n")
-            print(f"{method:16s} hits: {hist.tolist()}")
+    rows = []
+    for method in methods:
+        hist = harness.ground_truth_score(cases, method, params, rng, fraction=args.fraction)
+        rows.append([method, *hist.tolist(), len(cases)])
+        print(f"{method:16s} hits: {hist.tolist()}")
+    write_csv(out, ["method", "hits0", "hits1", "hits2", "hits3", "n_cases"], rows)
     _sidecar(args, out)
     print(f"wrote {out}")
     return 0

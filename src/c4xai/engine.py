@@ -245,19 +245,13 @@ def result_for(out: Outcome, offender: Optional[int], colour: int) -> str:
     return "win" if out.kind == _WIN_KIND[colour] else "loss"
 
 
-def encode(
-    board: BoardState,
-    revealed: Optional[Iterable] = None,
-    perspective: Optional[int] = None,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Three-channel input tensor: revealed red, revealed blue, open cells.
+def encode(board: BoardState, revealed: Optional[Iterable] = None) -> np.ndarray:
+    """Three-channel float32 input as the side to move sees it: revealed
+    own pieces, revealed opponent pieces, open cells.
 
     A hidden occupied cell is the all-zero channel triple, which keeps it
     distinguishable from an empty cell (channel 2 stays 0). ``revealed``
-    defaults to every occupied cell. ``perspective`` swaps the two colour
-    channels so channel 0 is always the given player's own pieces; None
-    keeps the absolute convention (channel 0 red).
+    defaults to every occupied cell.
     """
     occ = set(board.occupied_cells())
     if revealed is None:
@@ -267,12 +261,8 @@ def encode(
         bad = revealed_set - occ
         if bad:
             raise RevealedEmptyCell(f"not occupied: {sorted(bad)}")
-    x = np.zeros((3, ROWS, COLS), dtype=dtype)
-    ch = {RED: 0, BLUE: 1}
-    if perspective == BLUE:
-        ch = {BLUE: 0, RED: 1}
-    elif perspective not in (None, RED):
-        raise ValueError(f"perspective must be RED, BLUE or None, got {perspective!r}")
+    x = np.zeros((3, ROWS, COLS), dtype=np.float32)
+    ch = {board.to_move: 0, other(board.to_move): 1}
     for row in range(ROWS):
         for col in range(COLS):
             v = board.cells[row][col]

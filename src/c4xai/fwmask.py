@@ -19,6 +19,7 @@ from . import engine, network
 from .csvio import write_csv
 
 N_CELLS = engine.ROWS * engine.COLS
+LINE_SEARCH_GRID = 33  # step sizes the line-search rule tries, 0 to 1
 
 
 class FWError(Exception):
@@ -34,7 +35,6 @@ class FWConfig:
     k: float = 3
     iterations: int = 50
     step_rule: str = "agnostic"  # "agnostic" 2/(tau+2), or "line_search"
-    line_search_grid: int = 33
 
     def __post_init__(self):
         if self.k < 0:
@@ -50,7 +50,6 @@ class FWResult:
     mask: np.ndarray  # best iterate, 6x7
     distortion: float  # distortion of the best iterate
     trace: np.ndarray  # best-so-far distortion per iteration (non-increasing)
-    last_mask: np.ndarray  # final iterate regardless of quality
     meta: dict = field(default_factory=dict)
     # duality gap <-grad f(m_tau), v_tau - m_tau> per iteration
     gaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -64,11 +63,10 @@ class _Objective:
             raise FWError("mask optimization is defined on ongoing positions")
         self.params = params
         self.board = board
-        mover = board.to_move
-        self.x_full = engine.encode(board, perspective=mover, dtype=params.dtype)
-        policy, _ = network.policy_value(params, self.x_full)
-        self.a_star = int(np.argmax(policy))
-        self.p_full = float(policy[self.a_star])
+        trace = network.forward_boards(params, [board])
+        self.x_full, self.policy = trace.x[0], trace.policy[0]
+        self.a_star = int(np.argmax(self.policy))
+        self.p_full = float(self.policy[self.a_star])
 
     def _forward(self, ms: np.ndarray):
         """One network forward on the board under each mask of ``ms``."""
@@ -110,10 +108,9 @@ def distortion(
     """Squared drop of P(a_star) when colours are damped by mask m."""
     obj = _Objective(params, board)
     if a_star != obj.a_star:
-        # caller pins the explained action; recompute the reference prob
+        # caller pins the explained action; read its full-information prob
         obj.a_star = int(a_star)
-        policy, _ = network.policy_value(params, obj.x_full)
-        obj.p_full = float(policy[a_star])
+        obj.p_full = float(obj.policy[a_star])
     return obj.value(np.asarray(m, dtype=float))
 
 
@@ -168,7 +165,7 @@ def fw_optimize(
         direction = v - m
         gaps.append(float(-(grad * direction).sum()))
         if config.step_rule == "line_search":
-            gammas = np.linspace(0.0, 1.0, config.line_search_grid)
+            gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
             vals = obj.values(m + gammas[:, None, None] * direction)
             gamma = float(gammas[int(np.argmin(vals))])
         else:
@@ -188,7 +185,6 @@ def fw_optimize(
         mask=best_m,
         distortion=best_d,
         trace=np.array(trace),
-        last_mask=m,
         gaps=np.array(gaps),
         meta={
             "k": config.k,

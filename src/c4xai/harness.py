@@ -72,8 +72,7 @@ def harvest_ground_truth(
 
     def move(board):
         nonlocal last
-        x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-        policy, _ = network.policy_value(params, x)
+        policy = network.forward_boards(params, [board]).policy[0]
         action = network.sample_action(policy, rng)
         last = (board, action, action == int(np.argmax(policy)), float(policy[action]))
         return action
@@ -140,8 +139,7 @@ def masked_policy_mover(
         revealed = None
         if method is not None:
             revealed = attribution.select_features(method, params, board, fraction, rng, opts=opts)
-        x = engine.encode(board, revealed, perspective=board.to_move, dtype=params.dtype)
-        policy, _ = network.policy_value(params, x)
+        policy = network.forward_boards(params, [board], [revealed]).policy[0]
         if competitive:
             return int(np.argmax(policy))
         return network.sample_action(policy, rng)

@@ -43,10 +43,12 @@ class OracleError(MCTSError):
     pass
 
 
+EXPLORATION = math.sqrt(2.0)  # the UCT exploration constant
+
+
 @dataclass(frozen=True)
 class MCTSConfig:
     simulations: int = 500
-    exploration: float = math.sqrt(2.0)
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -159,7 +161,7 @@ def mcts_search(
         raise MCTSError("search from a terminal position")
     cur, occ, heights = _bb_from_board(board)
     root = _Node(cur, occ, heights, board.turn, None)
-    c = config.exploration
+    c = EXPLORATION
     for _ in range(config.simulations):
         node = root
         path = [node]
@@ -232,9 +234,7 @@ def _as_params(agent) -> network.NetworkParams:
 
 def agent_move(params: network.NetworkParams, board: engine.BoardState) -> int:
     """Competitive play: the most likely action under full information."""
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    policy, _ = network.policy_value(params, x)
-    return int(np.argmax(policy))
+    return int(np.argmax(network.forward_boards(params, [board]).policy[0]))
 
 
 def play_agent_games(params: network.NetworkParams, opponent, seeds) -> WinStats:
@@ -261,26 +261,17 @@ def play_agent_games(params: network.NetworkParams, opponent, seeds) -> WinStats
     )
 
 
-def benchmark(
-    agent,
-    mcts_config: MCTSConfig,
-    n_games: int,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-) -> WinStats:
+def benchmark(agent, mcts_config: MCTSConfig, n_games: int, seed: int = 0) -> WinStats:
     """Agent (argmax policy, full information) vs the search, colours
     alternating between games. An illegal agent move ends its game and
     lands in the separate ``illegal`` bucket."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     params = _as_params(agent)
-    root = np.random.SeedSequence(
-        seed if seed is not None else (int(rng.integers(2**63)) if rng else 0)
-    )
     return play_agent_games(
         params,
         lambda game_rng: lambda board: mcts_move(board, mcts_config, game_rng),
-        root.spawn(n_games),
+        np.random.SeedSequence(seed).spawn(n_games),
     )
 
 

@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine
 from .engine import COLS, ROWS
 
 N_ACTIONS = 7
@@ -321,10 +322,18 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     )
 
 
-def policy_value(params: NetworkParams, x: np.ndarray):
-    """Single-input convenience: (policy length-7 vector, scalar value)."""
-    trace = forward(params, x)
-    return trace.policy[0], float(trace.value[0])
+def forward_boards(params: NetworkParams, boards, revealed=None) -> ForwardTrace:
+    """One forward on ``boards`` as their movers see them.
+
+    ``revealed[i]`` is the revealed coalition of ``boards[i]`` (None for
+    full information); ``revealed`` None reveals every board in full.
+    The trace's ``x`` holds the encodings, one row per board.
+    """
+    if revealed is None:
+        revealed = [None] * len(boards)
+    # np.array, not np.stack: 1.3 against 5.5 us for one board (2-core x86-64 host)
+    x = np.array([engine.encode(b, r) for b, r in zip(boards, revealed, strict=True)])
+    return forward(params, x)
 
 
 def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:

@@ -144,14 +144,13 @@ def self_play_episode(
     played = [[] for _ in range(games)]
 
     def choose(indices, boards):
-        xs = []
+        reveals = []
         for board in boards:
             p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
-            revealed = engine.sample_hidden(board, p_h, rng)
-            xs.append(engine.encode(board, revealed, perspective=board.to_move, dtype=params.dtype))
-        trace = network.forward(params, np.stack(xs))
+            reveals.append(engine.sample_hidden(board, p_h, rng))
+        trace = network.forward_boards(params, boards, reveals)
         actions = []
-        for i, board, x, policy, value in zip(indices, boards, xs, trace.policy, trace.value):
+        for i, board, x, policy, value in zip(indices, boards, trace.x, trace.policy, trace.value):
             action = network.sample_action(policy, rng)
             played[i].append(
                 Transition(

@@ -228,8 +228,7 @@ def self_play_boards(params, n_boards, plies, seed):
         board = engine.new_board()
         ok = True
         for _ in range(plies):
-            x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-            policy, _ = network.policy_value(params, x)
+            policy = network.forward_boards(params, [board]).policy[0]
             probs = np.asarray(policy, dtype=np.float64)
             probs /= probs.sum()
             col = int(rng.choice(network.N_ACTIONS, p=probs))

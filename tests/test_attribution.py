@@ -76,7 +76,7 @@ def test_guided_backprop_equals_logit_gradient_without_negative_paths():
     params = positive_params(seed=13)
     _, board = setup_case(13, n_moves=6)
     gb = attribution.guided_backprop(params, board)
-    trace = network.forward(params, engine.encode(board, perspective=board.to_move, dtype=params.dtype))
+    trace = network.forward_boards(params, [board])
     one_hot = np.zeros((1, 7)); one_hot[0, gb.a_star] = 1.0
     _, exact = network.backward(params, trace, policy_grad=one_hot, at_logits=True,
                                 want_param_grads=False)
@@ -87,8 +87,7 @@ def test_lrp_conservation_on_positive_net():
     params = positive_params(seed=17)
     _, board = setup_case(17, n_moves=8)
     smap = attribution.lrp_eps(params, board)
-    x = engine.encode(board, perspective=board.to_move, dtype=np.float64)
-    trace = network.forward(params, x)
+    trace = network.forward_boards(params, [board])
     target = float(trace.policy_logits[0, smap.a_star])
     total = float(smap.scores.sum())
     assert target > 0
@@ -104,18 +103,16 @@ def test_lrp_absolute_epsilon_accepted():
 
 def test_deeplift_self_baseline_gives_zero():
     params, board = setup_case(23)
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
+    x = engine.encode(board)
     smap = attribution.deeplift_rescale(params, board, baseline=x)
     assert np.allclose(smap.scores, 0.0, atol=1e-12)
 
 
 def test_deeplift_completeness():
     params, board = setup_case(29, n_moves=10)
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    baseline = engine.encode(board, frozenset(), perspective=board.to_move, dtype=params.dtype)
     smap = attribution.deeplift_rescale(params, board)
-    la = network.forward(params, x).policy_logits[0, smap.a_star]
-    lb = network.forward(params, baseline).policy_logits[0, smap.a_star]
+    la = network.forward(params, engine.encode(board)).policy_logits[0, smap.a_star]
+    lb = network.forward(params, engine.encode(board, frozenset())).policy_logits[0, smap.a_star]
     assert abs(smap.scores.sum() - (la - lb)) < 1e-6
 
 
@@ -144,8 +141,7 @@ def test_random_saliency_seeded():
 def test_input_saliency_is_encoding():
     params, board = setup_case(41)
     smap = attribution.input_saliency(params, board)
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    assert np.array_equal(smap.scores, x)
+    assert np.array_equal(smap.scores, engine.encode(board))
 
 
 # --- aggregation and selection --------------------------------------------------
@@ -298,10 +294,8 @@ def test_masking_can_flip_the_argmax():
         board = engine.apply_move(board, int(legal[rng.integers(len(legal))]))
         if engine.outcome(board).is_terminal or board.turn < 4:
             continue
-        full = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-        hidden = engine.encode(board, frozenset(), perspective=board.to_move, dtype=params.dtype)
-        a_full = int(np.argmax(network.policy_value(params, full)[0]))
-        a_hidden = int(np.argmax(network.policy_value(params, hidden)[0]))
+        trace = network.forward_boards(params, [board, board], [None, frozenset()])
+        a_full, a_hidden = np.argmax(trace.policy, axis=1)
         if a_full != a_hidden:
             flipped += 1
     assert flipped > 0

@@ -250,8 +250,7 @@ def test_nu_pol_bounds_and_a_star():
     assert nu.t == 6
     assert nu.head == "policy"
     full = nu(board.occupied_cells())
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    policy, _ = network.policy_value(params, x)
+    policy = network.forward_boards(params, [board]).policy[0]
     assert abs(full - policy[nu.a_star]) < 1e-15
     assert policy[nu.a_star] == policy.max()
     assert 0.0 <= nu(()) <= 1.0

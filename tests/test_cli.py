@@ -6,6 +6,7 @@ the statistical behaviour of the underlying routines is covered by the
 per-module tests.
 """
 
+import csv
 import json
 import sys
 import textwrap
@@ -282,6 +283,27 @@ def test_groundtruth_histograms(tmp_path, checkpoint):
         assert sum(int(v) for v in fields[1:5]) == int(fields[5]) == 2
 
 
+def test_hand_rolled_csvs_go_through_the_csv_writer(tmp_path, checkpoint):
+    # benchmark, groundtruth and both saliency-dump branches: csv.writer's
+    # \r\n line ends, one width per file, and a number in the last column
+    runs = {
+        "bench.csv": ["benchmark", "--games", "2", "--simulations", "10"],
+        "gt.csv": ["groundtruth", "--cases", "1", "--confidence", "0.0", "--methods", "random"],
+        "pieces.csv": ["saliency-dump", "--moves", "3,3,4", "--method", "shapley"],
+        "map.csv": ["saliency-dump", "--moves", "3,3,4", "--method", "gradient"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert cli.main(argv + ["--checkpoint", checkpoint, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), name
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) >= 2 and {len(row) for row in rows} == {len(rows[0])}, name
+        for row in rows[1:]:
+            float(row[-1])
+
+
 def test_curves_against_random(tmp_path, checkpoint, capsys):
     out = tmp_path / "curve.csv"
     code = cli.main(
@@ -429,6 +451,9 @@ ORACLE_OK = textwrap.dedent(
 ).strip()
 
 ORACLE_BROKEN = 'import sys\nsys.stdin.readline()\nprint("NO IDEA")\nsys.stdout.flush()\n'
+ORACLE_MALFORMED = (
+    'import sys\nsys.stdin.readline()\nprint("MOVE 2 SCORE 1.5")\nsys.stdout.flush()\n'
+)
 
 
 def test_curves_against_external_oracle(tmp_path, checkpoint):
@@ -458,3 +483,19 @@ def test_broken_external_oracle_exits_3(tmp_path, checkpoint, capsys):
     )
     assert code == 3
     assert "oracle error:" in capsys.readouterr().err
+
+
+def test_malformed_oracle_reply_exits_3_without_traceback(tmp_path, checkpoint, capsys):
+    script = tmp_path / "oracle_malformed.py"
+    script.write_text(ORACLE_MALFORMED)
+    code = cli.main(
+        [
+            "curves", "--checkpoint", checkpoint,
+            "--opponent", f"oracle:{sys.executable} {script}",
+            "--fractions", "1.0", "--games", "2",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "oracle error:" in captured.err and "non-integer score" in captured.err
+    assert "Traceback" not in captured.err + captured.out

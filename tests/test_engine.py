@@ -1,5 +1,6 @@
 """Board engine checks against an independent window scanner."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -209,39 +210,40 @@ def test_lockstep_illegal_column_ends_only_its_game():
 # --- encoding ---------------------------------------------------------------
 
 def test_encode_full_information():
-    board = engine.replay([3, 3, 4, 2, 5])
-    x = engine.encode(board)
-    assert x.shape == (3, 6, 7) and x.dtype == np.float64
-    for row in range(6):
-        for col in range(7):
-            v = board.cells[row][col]
-            triple = x[:, row, col]
-            if v == engine.EMPTY:
-                assert triple.tolist() == [0, 0, 1]
-            elif v == engine.RED:
-                assert triple.tolist() == [1, 0, 0]
-            else:
-                assert triple.tolist() == [0, 1, 0]
+    # channel 0 holds the pieces of the side to move, red or blue
+    for moves in ([3, 3, 4, 2], [3, 3, 4, 2, 5]):
+        board = engine.replay(moves)
+        x = engine.encode(board)
+        assert x.shape == (3, 6, 7) and x.dtype == np.float32
+        for row in range(6):
+            for col in range(7):
+                v = board.cells[row][col]
+                triple = x[:, row, col]
+                if v == engine.EMPTY:
+                    assert triple.tolist() == [0, 0, 1]
+                elif v == board.to_move:
+                    assert triple.tolist() == [1, 0, 0]
+                else:
+                    assert triple.tolist() == [0, 1, 0]
 
 
 def test_encode_perspective_swaps_colours():
     board = engine.replay([3, 3, 4, 2, 5])
-    xr = engine.encode(board, perspective=engine.RED)
-    xb = engine.encode(board, perspective=engine.BLUE)
+    assert board.to_move == engine.BLUE
+    xb = engine.encode(board)
+    xr = engine.encode(dataclasses.replace(board, to_move=engine.RED))
     assert np.array_equal(xr[0], xb[1])
     assert np.array_equal(xr[1], xb[0])
     assert np.array_equal(xr[2], xb[2])
-    assert np.array_equal(engine.encode(board), xr)
-    with pytest.raises(ValueError):
-        engine.encode(board, perspective=9)
+    assert xr[0, 0, 3] == 1.0 and xb[0, 1, 3] == 1.0  # red (0, 3), blue (1, 3)
 
 
 def test_hidden_cells_are_all_zero_triples():
-    board = engine.replay([3, 3, 4, 2, 5])
+    board = engine.replay([3, 3, 4, 2, 5])  # blue to move
     revealed = frozenset({(0, 3), (1, 3)})
     x = engine.encode(board, revealed)
-    assert x[:, 0, 3].tolist() == [1, 0, 0]
-    assert x[:, 1, 3].tolist() == [0, 1, 0]
+    assert x[:, 0, 3].tolist() == [0, 1, 0]  # red: the opponent's piece
+    assert x[:, 1, 3].tolist() == [1, 0, 0]  # blue: the mover's own piece
     # hidden occupied: all zero, distinguishable from empty (0,0,1)
     assert x[:, 0, 4].tolist() == [0, 0, 0]
     assert x[:, 0, 2].tolist() == [0, 0, 0]

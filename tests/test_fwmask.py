@@ -22,9 +22,7 @@ def setup_case(seed=0, n_moves=8, channels=8):
 
 
 def full_info_a_star(params, board):
-    x = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    policy, _ = network.policy_value(params, x)
-    return int(np.argmax(policy))
+    return int(np.argmax(network.forward_boards(params, [board]).policy[0]))
 
 
 def test_all_ones_mask_has_zero_distortion():
@@ -39,10 +37,8 @@ def test_all_zero_mask_hides_everything():
     a_star = full_info_a_star(params, board)
     d0 = fwmask.distortion(params, board, a_star, np.zeros((6, 7)))
     # equals the drop to the fully hidden board
-    x_hidden = engine.encode(board, frozenset(), perspective=board.to_move, dtype=params.dtype)
-    p_hidden = network.policy_value(params, x_hidden)[0][a_star]
-    x_full = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
-    p_full = network.policy_value(params, x_full)[0][a_star]
+    p_hidden = network.forward_boards(params, [board], [frozenset()]).policy[0, a_star]
+    p_full = network.forward_boards(params, [board]).policy[0, a_star]
     assert abs(d0 - (p_full - p_hidden) ** 2) < 1e-15
 
 
@@ -252,7 +248,7 @@ def reference_line_search(params, board, cfg):
     a_star = full_info_a_star(params, board)
     m = np.full((6, 7), cfg.k / 42)
     best_d, best_m = fwmask.distortion(params, board, a_star, m), m.copy()
-    gammas = np.linspace(0.0, 1.0, cfg.line_search_grid)
+    gammas = np.linspace(0.0, 1.0, fwmask.LINE_SEARCH_GRID)
     for _ in range(cfg.iterations):
         direction = fwmask.lmo_ksparse(fwmask.distortion_gradient(params, board, m), cfg.k) - m
         vals = [fwmask.distortion(params, board, a_star, m + g * direction) for g in gammas]
@@ -288,4 +284,4 @@ def test_forwards_per_iteration(monkeypatch):
     cfg = fwmask.FWConfig(k=3, iterations=10, step_rule="line_search")
     fwmask.fw_optimize(params, board, cfg)
     assert len(rows) == 22
-    assert rows.count(cfg.line_search_grid) == 10
+    assert rows.count(fwmask.LINE_SEARCH_GRID) == 10

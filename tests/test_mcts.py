@@ -6,12 +6,16 @@ one-move wins and forced blocks, and the external oracle client is
 exercised against a real child process speaking the line protocol.
 """
 
+import io
+import os
 import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4xai import engine, mcts, network
 
@@ -394,6 +398,52 @@ class TestExternalOracle:
         assert oracle._proc is None
         assert proc.poll() is not None
         oracle.close()
+
+
+class StubProcess:
+    """Stands in for the solver process: stdin swallows the request and
+    stdout is a pipe holding one reply, so no child process starts."""
+
+    def __init__(self, reply: bytes):
+        self.stdin = io.BytesIO()
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, reply)
+        os.close(write_fd)
+        self.stdout = os.fdopen(read_fd, "rb")
+
+    def poll(self):
+        return None
+
+
+# integers in forms int() may or may not take: signs, padding, huge
+# values, underscores, non-ASCII digits, floats, hex
+ODD_INTS = st.one_of(
+    st.integers().map(str),
+    st.integers(-3, 9).map(lambda n: f"{n:+d}"),
+    st.integers(0, 9).map(lambda n: f"000{n}"),
+    st.integers(0, 9).map(lambda n: chr(0x0660 + n)),
+    st.sampled_from(["", "1_0", "3.0", "0x3", "1e1", "nan", "9" * 5000]),
+)
+REPLY_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("MOVE {}".format, ODD_INTS),
+    st.builds("MOVE {} SCORE {}".format, ODD_INTS, ODD_INTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=REPLY_LINES, board=st.sampled_from([engine.new_board(), play([0] * 6)]))
+def test_any_reply_line_gives_a_legal_column_or_oracle_error(line, board):
+    oracle = mcts.ExternalOracle(["never-started"])
+    oracle._proc = StubProcess(line.encode("utf-8", "surrogatepass") + b"\n")
+    try:
+        col, score = oracle.best_move(board)
+    except mcts.OracleError:
+        return
+    finally:
+        oracle._proc.stdout.close()
+    assert col in board.legal_moves()
+    assert score is None or isinstance(score, int)
 
 
 class FullColumnOracle:

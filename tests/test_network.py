@@ -27,7 +27,7 @@ def random_input(seed=1):
     for _ in range(10):
         legal = board.legal_moves()
         board = engine.apply_move(board, int(legal[rng.integers(len(legal))]))
-    return engine.encode(board)
+    return engine.encode(board).astype(np.float64)
 
 
 # --- architecture bookkeeping ------------------------------------------------
@@ -362,15 +362,16 @@ def test_zero_params_give_uniform_policy_and_zero_value():
     params = make_params(8, seed=21, dtype=np.float64)
     for name in params.tensors:
         params.tensors[name] = np.zeros_like(params.tensors[name])
-    pol, val = network.policy_value(params, random_input(22))
-    assert np.allclose(pol, 1.0 / 7, atol=1e-15)
-    assert val == 0.0
+    trace = network.forward(params, random_input(22))
+    assert np.allclose(trace.policy[0], 1.0 / 7, atol=1e-15)
+    assert trace.value[0] == 0.0
 
 
 def test_init_is_nondegenerate():
     for seed in range(5):
         params = make_params(16, seed=seed, dtype=np.float64)
-        pol, val = network.policy_value(params, random_input(seed))
+        trace = network.forward(params, random_input(seed))
+        pol, val = trace.policy[0], trace.value[0]
         assert 0.01 <= pol.max() <= 0.9
         assert abs(val) < 0.9
         assert abs(pol.sum() - 1.0) < 1e-12
@@ -409,9 +410,48 @@ def test_batched_forward_matches_single():
     xs = np.stack([random_input(i) for i in (1, 2, 3)])
     tr = network.forward(params, xs)
     for i in range(3):
-        pol, val = network.policy_value(params, xs[i])
-        assert np.allclose(tr.policy[i], pol, atol=1e-12)
-        assert np.allclose(tr.value[i], val, atol=1e-12)
+        single = network.forward(params, xs[i])
+        assert np.allclose(tr.policy[i], single.policy[0], atol=1e-12)
+        assert np.allclose(tr.value[i], single.value[0], atol=1e-12)
+
+
+def hand_encoding(board, revealed):
+    """The input convention written out cell by cell: channel 0 the
+    revealed pieces of the side to move, 1 the opponent's, 2 open cells."""
+    x = np.zeros((3, 6, 7))
+    for row in range(6):
+        for col in range(7):
+            v = board.cells[row][col]
+            if v == engine.EMPTY:
+                x[2, row, col] = 1.0
+            elif revealed is None or (row, col) in revealed:
+                x[0 if v == board.to_move else 1, row, col] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_boards_equals_forward_on_hand_built_encodings(dtype):
+    params = make_params(8, seed=37, dtype=dtype)
+    red = engine.replay([3, 3, 4, 2])  # red to move
+    blue = engine.replay([3, 3, 4, 2, 5])  # blue to move
+    boards = [red, blue, red, blue, red, blue]
+    revealed = [
+        None, None, frozenset(), frozenset(), frozenset({(0, 4)}), frozenset({(0, 3), (1, 3)}),
+    ]
+    x = np.array([hand_encoding(b, r) for b, r in zip(boards, revealed)])
+    got, ref = network.forward_boards(params, boards, revealed), network.forward(params, x)
+    assert got.x.dtype == dtype
+    for name in ("x", "policy_logits", "policy", "value"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    # revealed None reveals every board in full
+    got = network.forward_boards(params, boards[:2])
+    assert np.array_equal(got.policy, network.forward(params, x[:2]).policy)
+    # batch 1 matches a batch-1 forward
+    for i in (3, 5):
+        got = network.forward_boards(params, [boards[i]], [revealed[i]])
+        assert np.array_equal(got.value, network.forward(params, x[i]).value)
+    with pytest.raises(ValueError):
+        network.forward_boards(params, boards, revealed[:2])
 
 
 def test_guided_relu_rule_masks_negative_upstream():
@@ -509,7 +549,7 @@ def test_checkpoint_golden_policy(tmp_path):
     path = tmp_path / "net.ckpt"
     network.save(params, path)
     loaded = network.load(path)
-    x = engine.encode(engine.replay([3, 3, 4, 2]), dtype=np.float32)
+    x = engine.encode(engine.replay([3, 3, 4, 2]))
     a = network.forward(params, x).policy
     b = network.forward(loaded, x).policy
     assert np.array_equal(a, b)

@@ -266,7 +266,7 @@ class TestSelfPlay:
             board = engine.new_board()
             for tr in trs:
                 assert tr.player == board.to_move
-                expected = engine.encode(board, perspective=board.to_move, dtype=params.dtype)
+                expected = engine.encode(board)
                 np.testing.assert_array_equal(tr.state, expected)
                 board = engine.apply_move(board, tr.action)
             assert engine.outcome(board).is_terminal
@@ -341,7 +341,7 @@ class TestLockstepSelfPlay:
             board = engine.new_board()
             for tr in rows:
                 assert tr.player == board.to_move
-                expected = engine.encode(board, perspective=board.to_move, dtype=np.float32)
+                expected = engine.encode(board)
                 np.testing.assert_array_equal(tr.state, expected)
                 board = engine.apply_move(board, tr.action)
             assert board == final and engine.outcome(board) == out and out.is_terminal
@@ -391,9 +391,8 @@ def test_mid_chunk_checkpoints_hold_the_last_update(tmp_path):
 
 def batch_of(n, params, ret=0.0, prob=None):
     """Batch built from real forward passes so stored probs match the net."""
-    board = engine.new_board()
-    x = engine.encode(board, dtype=params.dtype)
-    policy, value = network.policy_value(params, x)
+    trace = network.forward_boards(params, [engine.new_board()])
+    x, policy, value = trace.x[0], trace.policy[0], trace.value[0]
     out = []
     for i in range(n):
         action = i % network.N_ACTIONS
@@ -418,8 +417,8 @@ class TestPPOUpdate:
     def test_zero_advantage_and_zero_weights_leave_params_untouched(self):
         params = network.init(network.ArchDescriptor(conv_channels=8), np.random.default_rng(0))
         cfg = small_config(value_weight=0.0, entropy_weight=0.0, advantage_norm=False)
-        x = engine.encode(engine.new_board(), dtype=params.dtype)
-        policy, value = network.policy_value(params, x)
+        trace = network.forward_boards(params, [engine.new_board()])
+        x, policy, value = trace.x[0], trace.policy[0], trace.value[0]
         batch = [
             Transition(state=x, action=a, prob=float(policy[a]), value=float(value),
                        ret=float(value))
@@ -440,8 +439,8 @@ class TestPPOUpdate:
     def test_large_ratio_is_clipped_at_the_upper_edge(self):
         params = network.init(network.ArchDescriptor(conv_channels=8), np.random.default_rng(3))
         cfg = small_config(advantage_norm=False, clip_eps=0.2, epochs_per_update=1)
-        x = engine.encode(engine.new_board(), dtype=params.dtype)
-        policy, value = network.policy_value(params, x)
+        trace = network.forward_boards(params, [engine.new_board()])
+        x, policy, value = trace.x[0], trace.policy[0], trace.value[0]
         action = 2
         # stored prob ten times smaller than the live one: ratio 10, and
         # with advantage +1 the surrogate clips to 1.2
@@ -456,8 +455,8 @@ class TestPPOUpdate:
     def test_small_ratio_with_negative_advantage_clips_at_the_lower_edge(self):
         params = network.init(network.ArchDescriptor(conv_channels=8), np.random.default_rng(3))
         cfg = small_config(advantage_norm=False, clip_eps=0.2, epochs_per_update=1)
-        x = engine.encode(engine.new_board(), dtype=params.dtype)
-        policy, value = network.policy_value(params, x)
+        trace = network.forward_boards(params, [engine.new_board()])
+        x, policy, value = trace.x[0], trace.policy[0], trace.value[0]
         action = 2
         # ratio 0.1 with advantage -1: min(-0.1, -0.8) keeps the clipped branch
         batch = [
@@ -480,7 +479,7 @@ class TestPPOUpdate:
         cfg = small_config(advantage_norm=False, epochs_per_update=1)
         batch = batch_of(3, params, ret=0.25)
         x = batch[0].state
-        _, v = network.policy_value(params, x)
+        v = network.forward(params, x).value[0]
         _, _, stats = training.ppo_update(params, batch, cfg)
         assert stats["value_loss"] == pytest.approx((float(v) - 0.25) ** 2, rel=1e-6)
 
