@@ -51,7 +51,9 @@ def main():
     partial = charfn.partial_shapley(nu, p=0.5, n_permutations=n, rng=rng)
     show_scores("partial Shapley, predecessor floor p=0.5", partial.as_dict())
 
-    result, scores, selected = fwmask.fw_saliency(params, board, k=3.0, rng=rng)
+    result = fwmask.fw_optimize(params, board, fwmask.FWConfig(k=3.0))
+    scores = fwmask.mask_piece_scores(result.mask, board)
+    selected = attribution.select_top(scores, 0.5, rng)
     show_scores(f"FW mask, k=3 (final distortion {result.distortion:.2e})", scores)
     print(f"  revealed coalition at fraction 0.5: {sorted(selected)}")
 

@@ -281,28 +281,6 @@ def select_top(
     return frozenset(cells[i] for i in order[:count])
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """A masker: scores pieces of a position, given network and budget.
-
-    ``fraction_override`` pins the reveal fraction regardless of the
-    match setting; the input baseline shows the complete board, so it
-    reveals everything.
-    """
-
-    name: str
-    scorer: Callable  # (params, board, rng, fraction, opts) -> {cell: score}
-    fraction_override: Optional[float] = None
-
-
-def _map_scorer(method_name):
-    def scorer(params, board, rng, fraction, opts):
-        smap = saliency(method_name, params, board, rng, **opts)
-        return aggregate(smap, board)
-
-    return scorer
-
-
 def _shapley_scorer(params, board, rng, fraction, opts):
     nu = charfn.nu_pol(params, board)
     p = opts.get("p", 0.5)
@@ -335,24 +313,12 @@ def _fw_scorer(params, board, rng, fraction, opts):
     return fwmask.mask_piece_scores(fwmask.fw_optimize(params, board, cfg).mask, board)
 
 
-METHODS: Dict[str, MethodSpec] = {
-    **{name: MethodSpec(name, _map_scorer(name)) for name in _MAP_METHODS},
-    "shapley": MethodSpec("shapley", _shapley_scorer),
-    "fw": MethodSpec("fw", _fw_scorer),
-}
-METHODS["input"] = MethodSpec("input", _map_scorer("input"), fraction_override=1.0)
+# Maskers that score pieces directly; every map method scores through ``aggregate``.
+_SCORERS: Dict[str, Callable] = {"shapley": _shapley_scorer, "fw": _fw_scorer}
 
 
 def method_names() -> tuple:
-    return tuple(sorted(METHODS))
-
-
-def _resolve(method: str, fraction: float, opts: Optional[dict]):
-    spec = METHODS.get(method)
-    if spec is None:
-        raise UnknownMethod(f"{method!r}; registered: {method_names()}")
-    frac = spec.fraction_override if spec.fraction_override is not None else fraction
-    return spec, frac, opts or {}
+    return tuple(sorted({**_MAP_METHODS, **_SCORERS}))
 
 
 def piece_scores(
@@ -363,8 +329,13 @@ def piece_scores(
     fraction: float = 0.5,
     opts: Optional[dict] = None,
 ) -> dict:
-    spec, frac, opts = _resolve(method, fraction, opts)
-    return spec.scorer(params, board, rng, frac, opts)
+    """A masker's per-piece scores; ``fraction`` sets the FW budget k."""
+    opts = opts or {}
+    if method in _SCORERS:
+        return _SCORERS[method](params, board, rng, fraction, opts)
+    if method not in _MAP_METHODS:
+        raise UnknownMethod(f"{method!r}; maskers: {method_names()}")
+    return aggregate(saliency(method, params, board, rng, **opts), board)
 
 
 def select_features(
@@ -375,10 +346,13 @@ def select_features(
     rng: np.random.Generator,
     opts: Optional[dict] = None,
 ) -> frozenset:
-    """The masker pipeline up to the coalition: score, then select."""
-    spec, frac, opts = _resolve(method, fraction, opts)
-    scores = spec.scorer(params, board, rng, frac, opts)
-    return select_top(scores, frac, rng)
+    """The masker pipeline up to the coalition: score, then select.
+
+    The input baseline shows the complete board, so it reveals everything.
+    """
+    if method == "input":
+        fraction = 1.0
+    return select_top(piece_scores(method, params, board, rng, fraction, opts), fraction, rng)
 
 
 def dump_csv(maps, path) -> str:

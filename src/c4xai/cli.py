@@ -20,12 +20,12 @@ from . import attribution, charfn, engine, fwmask, harness, mcts, network, train
 from .csvio import write_csv
 
 
-def _add_common(p, checkpoint=True):
+def _add_common(p, workers=False):
     p.add_argument("--seed", type=int, default=0, help="root random seed")
-    if checkpoint:
-        p.add_argument("--checkpoint", required=True, help="network checkpoint file")
+    p.add_argument("--checkpoint", required=True, help="network checkpoint file")
     p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel game workers")
+    if workers:
+        p.add_argument("--workers", type=int, default=1, help="parallel game workers")
 
 
 def _load_board(args) -> engine.BoardState:
@@ -46,7 +46,7 @@ def _board_args(p):
 def _sidecar(args, out_path, config_obj=None):
     harness.write_sidecar(
         out_path,
-        command=["c4xai"] + (args._argv if hasattr(args, "_argv") else []),
+        command=["c4xai"] + args._argv,
         seed=args.seed,
         checkpoint_path=getattr(args, "checkpoint", None),
         config_obj=config_obj,
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_groundtruth)
 
     p = sub.add_parser("curves", help="win rate against revealed fraction")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--selector", default="random")
     p.add_argument(
         "--opponent",
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("tournament", help="round robin between maskers")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--methods", default=None, help="comma list, default all")
     p.add_argument("--games-per-pair", type=int, default=100)
     p.add_argument("--fraction", type=float, default=0.5)

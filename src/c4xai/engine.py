@@ -34,9 +34,6 @@ _CELL_CHARS = {EMPTY: ".", RED: "r", BLUE: "b"}
 _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
 HIDDEN_CHAR = "?"
 
-# Scan directions for line detection: right, up, up-right, up-left.
-_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
-
 
 class EngineError(Exception):
     pass
@@ -138,46 +135,40 @@ def apply_move(board: BoardState, column: int) -> BoardState:
     )
 
 
-def _lines_through(cells, player: int) -> set:
-    """All cells lying on some completed four-in-a-row of ``player``.
+@lru_cache(maxsize=1)
+def all_lines() -> tuple:
+    """The 69 possible four-in-a-row cell quadruples."""
+    return tuple(
+        tuple((row + i * dr, col + i * dc) for i in range(CONNECT))
+        for row in range(ROWS)
+        for col in range(COLS)
+        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1))  # right, up, up-right, up-left
+        if 0 <= row + (CONNECT - 1) * dr < ROWS and 0 <= col + (CONNECT - 1) * dc < COLS
+    )
 
-    Walks maximal runs: any run of length L >= 4 contributes all L cells,
-    which equals the union of its length-4 windows.
-    """
-    out = set()
-    for row in range(ROWS):
-        for col in range(COLS):
-            if cells[row][col] != player:
-                continue
-            for dr, dc in _DIRECTIONS:
-                # only start at the run's first cell to avoid rescanning
-                pr, pc = row - dr, col - dc
-                if 0 <= pr < ROWS and 0 <= pc < COLS and cells[pr][pc] == player:
-                    continue
-                run = []
-                r, c = row, col
-                while 0 <= r < ROWS and 0 <= c < COLS and cells[r][c] == player:
-                    run.append((r, c))
-                    r += dr
-                    c += dc
-                if len(run) >= CONNECT:
-                    out.update(run)
-    return out
+
+@lru_cache(maxsize=None)
+def _lines_at(row: int, col: int) -> tuple:
+    """The lines of ``all_lines`` that pass through (row, col)."""
+    return tuple(line for line in all_lines() if (row, col) in line)
 
 
 def outcome(board: BoardState) -> Outcome:
     """Terminal status with the union of all completed lines."""
-    red_line = _lines_through(board.cells, RED)
-    blue_line = _lines_through(board.cells, BLUE)
-    if red_line and blue_line:
+    cells = board.cells
+    won = {RED: set(), BLUE: set()}
+    for line in all_lines():
+        (r0, c0), (r1, c1), (r2, c2), (r3, c3) = line
+        v = cells[r0][c0]
+        if v != EMPTY and v == cells[r1][c1] == cells[r2][c2] == cells[r3][c3]:
+            won[v].update(line)
+    if won[RED] and won[BLUE]:
         # unreachable through legal play; favour the side that moved last
         last = other(board.to_move)
-        line = red_line if last == RED else blue_line
-        return Outcome(_WIN_KIND[last], frozenset(line))
-    if red_line:
-        return Outcome(RED_WINS, frozenset(red_line))
-    if blue_line:
-        return Outcome(BLUE_WINS, frozenset(blue_line))
+        return Outcome(_WIN_KIND[last], frozenset(won[last]))
+    for colour in (RED, BLUE):
+        if won[colour]:
+            return Outcome(_WIN_KIND[colour], frozenset(won[colour]))
     if board.turn == ROWS * COLS:
         return Outcome(DRAW)
     return Outcome(ONGOING)
@@ -327,21 +318,6 @@ def text_to_cells(text: str) -> tuple:
     return tuple(tuple(r) for r in grid)
 
 
-def _win_at(cells, row: int, col: int) -> bool:
-    """Does the piece at (row, col) sit on a completed line?"""
-    player = cells[row][col]
-    for dr, dc in _DIRECTIONS:
-        run = 1
-        for sign in (1, -1):
-            r, c = row + sign * dr, col + sign * dc
-            while 0 <= r < ROWS and 0 <= c < COLS and cells[r][c] == player:
-                run += 1
-                r, c = r + sign * dr, c + sign * dc
-        if run >= CONNECT:
-            return True
-    return False
-
-
 def board_from_text(text: str) -> BoardState:
     """Reconstruct a BoardState, synthesizing a legal move order.
 
@@ -383,7 +359,12 @@ def board_from_text(text: str) -> BoardState:
             if h >= col_totals[col] or targets[col][h] != colour:
                 continue
             cells[h][col] = colour
-            if ply == total - 1 or not _win_at(cells, h, col):
+            for (r0, c0), (r1, c1), (r2, c2), (r3, c3) in (
+                _lines_at(h, col) if ply < total - 1 else ()
+            ):
+                if cells[r0][c0] == cells[r1][c1] == cells[r2][c2] == cells[r3][c3]:
+                    break
+            else:
                 heights[col] += 1
                 found = search(heights, cells, ply + 1, order + [col])
                 heights[col] -= 1
@@ -410,16 +391,3 @@ def replay(columns: Iterable[int]) -> BoardState:
     for col in columns:
         board = apply_move(board, int(col))
     return board
-
-
-@lru_cache(maxsize=1)
-def all_lines() -> tuple:
-    """The 69 possible four-in-a-row cell quadruples."""
-    lines = []
-    for row in range(ROWS):
-        for col in range(COLS):
-            for dr, dc in _DIRECTIONS:
-                end_r, end_c = row + 3 * dr, col + 3 * dc
-                if 0 <= end_r < ROWS and 0 <= end_c < COLS:
-                    lines.append(tuple((row + i * dr, col + i * dc) for i in range(4)))
-    return tuple(lines)

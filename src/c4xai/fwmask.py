@@ -201,31 +201,6 @@ def mask_piece_scores(mask: np.ndarray, board: engine.BoardState) -> dict:
     return {(row, col): float(mask[row, col]) for row, col in board.occupied_cells()}
 
 
-def fw_saliency(
-    params: network.NetworkParams,
-    board: engine.BoardState,
-    k: float,
-    rng: Optional[np.random.Generator] = None,
-    fraction: float = 0.5,
-    config: Optional[FWConfig] = None,
-):
-    """Mask-based saliency plus the revealed coalition it induces.
-
-    The optimized mask restricted to occupied cells is the saliency; the
-    top ceil(fraction * t) cells are selected with uniformly random
-    tie-breaking (mask entries often saturate at exactly 1.0).
-    Returns (FWResult, piece score dict, selected FeatureSet).
-    """
-    from .attribution import select_top  # local import, avoids a module cycle
-
-    cfg = config if config is not None else FWConfig(k=k)
-    result = fw_optimize(params, board, cfg)
-    scores = mask_piece_scores(result.mask, board)
-    rng = rng or np.random.default_rng()
-    selected = select_top(scores, fraction, rng)
-    return result, scores, selected
-
-
 def result_to_csv(result: FWResult, path, extra_meta: Optional[dict] = None) -> str:
     """Per-board record: metadata lines, then one row per cell."""
     meta = {**result.meta, "final_distortion": result.distortion, **(extra_meta or {})}

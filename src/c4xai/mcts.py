@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import select as _select
 import subprocess
 import time
@@ -323,7 +324,9 @@ class ExternalOracle:
     """Line-protocol client for an external solver process.
 
     Request:  ``POS <row6>/<row5>/.../<row1>`` (text board, top row first)
-    Response: ``MOVE <col>`` optionally followed by ``SCORE <int>``.
+    Response: ``MOVE <col>`` optionally followed by ``SCORE <int>``, where
+    ``<col>`` is one ASCII digit and ``<int>`` an optional ``-`` and ASCII
+    digits; any other reply raises OracleError.
     """
 
     def __init__(self, cmd, timeout: float = 10.0):
@@ -377,18 +380,19 @@ class ExternalOracle:
         parts = line.split()
         if len(parts) not in (2, 4) or parts[0] != "MOVE":
             raise OracleError(f"malformed oracle response {line!r}")
-        try:
-            col = int(parts[1])
-        except ValueError as exc:
-            raise OracleError(f"non-integer column in {line!r}") from exc
+        if not re.fullmatch("[0-9]", parts[1]):
+            raise OracleError(f"non-integer column in {line!r}")
+        col = int(parts[1])
         score = None
         if len(parts) == 4:
             if parts[2] != "SCORE":
                 raise OracleError(f"malformed oracle response {line!r}")
+            if not re.fullmatch("-?[0-9]+", parts[3]):
+                raise OracleError(f"non-integer score in {line!r}")
             try:
                 score = int(parts[3])
-            except ValueError as exc:
-                raise OracleError(f"non-integer score in {line!r}") from exc
+            except ValueError as exc:  # more digits than int() converts
+                raise OracleError(f"score too long in {line!r}") from exc
         if col not in board.legal_moves():
             raise OracleError(f"oracle chose illegal column {col}")
         return col, score

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -40,8 +41,11 @@ from .engine import COLS, ROWS
 N_ACTIONS = 7
 IN_CHANNELS = 3
 
-_CONV_PADS = (1, 1, 0, 0)
+CONV_PADS = (1, 1, 0, 0)
+# spatial (H, W) after each conv layer: a 3x3 kernel with padding p adds 2p - 2
+CONV_HW = tuple((ROWS + s, COLS + s) for s in accumulate(2 * pad - 2 for pad in CONV_PADS))
 _FC_BASE = (1024, 512, 512, 512, 512)
+N_FC = len(_FC_BASE)
 _BASE_CHANNELS = 512
 
 CHECKPOINT_MAGIC = b"C4XNET"
@@ -68,25 +72,6 @@ class CorruptPayload(NetworkError):
     pass
 
 
-def _conv_shapes() -> tuple:
-    """Spatial (H, W) after each conv layer."""
-    h, w = ROWS, COLS
-    out = []
-    for pad in _CONV_PADS:
-        h = h + 2 * pad - 2
-        w = w + 2 * pad - 2
-        out.append((h, w))
-    return tuple(out)
-
-
-_CONV_HW = _conv_shapes()
-
-# public aliases for modules that re-traverse the layer stack
-CONV_PADS = _CONV_PADS
-CONV_HW = _CONV_HW
-N_FC = len(_FC_BASE)
-
-
 @dataclass(frozen=True)
 class ArchDescriptor:
     """Width configuration; C = 512 reproduces the reference layer sizes."""
@@ -105,7 +90,7 @@ class ArchDescriptor:
 
     @property
     def flatten_size(self) -> int:
-        h, w = _CONV_HW[-1]
+        h, w = CONV_HW[-1]
         return self.conv_channels * h * w
 
     def param_specs(self) -> tuple:
@@ -287,7 +272,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     t = params.tensors
     a = x
     conv_z, conv_a = [], []
-    for i, pad in enumerate(_CONV_PADS, start=1):
+    for i, pad in enumerate(CONV_PADS, start=1):
         z = conv_forward(a, t[f"conv{i}_w"], t[f"conv{i}_b"], pad)
         a = np.maximum(z, 0.0)
         conv_z.append(z)
@@ -295,7 +280,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     flat = a.reshape(a.shape[0], -1)
     fc_z, fc_a = [], []
     h = flat
-    for i in range(1, len(_FC_BASE) + 1):
+    for i in range(1, N_FC + 1):
         z = h @ t[f"fc{i}_w"].T + t[f"fc{i}_b"]
         h = np.maximum(z, 0.0)
         fc_z.append(z)
@@ -408,7 +393,7 @@ def backward(
         grads["value_b"] = g_vpre.sum(axis=0)
     d = g_logits @ t["policy_w"] + g_vpre @ t["value_w"]
 
-    for i in range(len(_FC_BASE), 0, -1):
+    for i in range(N_FC, 0, -1):
         z = trace.fc_z[i - 1]
         d = d * _relu_factor(z, d, relu_rule, relu_local_grad, f"fc{i}")
         a_prev = trace.fc_a[i - 2] if i >= 2 else trace.flat
@@ -418,12 +403,12 @@ def backward(
         d = d @ t[f"fc{i}_w"]
 
     c = params.arch.conv_channels
-    d = d.reshape(n, c, *_CONV_HW[-1])
-    for i in range(len(_CONV_PADS), 0, -1):
+    d = d.reshape(n, c, *CONV_HW[-1])
+    for i in range(len(CONV_PADS), 0, -1):
         z = trace.conv_z[i - 1]
         d = d * _relu_factor(z, d, relu_rule, relu_local_grad, f"conv{i}")
         a_prev = trace.conv_a[i - 2] if i >= 2 else trace.x
-        pad = _CONV_PADS[i - 1]
+        pad = CONV_PADS[i - 1]
         if want_param_grads:
             dw, db = _conv_param_backward(d, a_prev, pad)
             grads[f"conv{i}_w"] = dw

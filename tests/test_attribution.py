@@ -238,6 +238,8 @@ def test_unknown_method_raises():
         attribution.piece_scores("mystery", params, board, np.random.default_rng(0))
     with pytest.raises(attribution.UnknownMethod):
         attribution.saliency("mystery", params, board)
+    with pytest.raises(attribution.UnknownMethod):
+        attribution.select_features("mystery", params, board, 0.5, np.random.default_rng(0))
 
 
 def test_input_fraction_override_reveals_all():
@@ -273,6 +275,11 @@ def test_fw_scorer_budget_follows_fraction():
     )
     assert set(scores) == set(board.occupied_cells())
     assert all(0.0 <= v <= 1.0 for v in scores.values())
+    selected = attribution.select_features(
+        "fw", params, board, 0.5, np.random.default_rng(1), opts={"iterations": 5}
+    )
+    assert len(selected) == 4  # ceil(0.5 * 8)
+    assert selected <= set(board.occupied_cells())
 
 
 def test_masking_can_flip_the_argmax():

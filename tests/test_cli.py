@@ -346,6 +346,25 @@ def test_tournament_csv(tmp_path, checkpoint, capsys):
     assert "random" in capsys.readouterr().out
 
 
+def test_only_curves_and_tournament_take_workers(tmp_path, checkpoint, capsys):
+    mask = tmp_path / "mask.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["fw", "--checkpoint", checkpoint, "--moves", "3", "--workers", "2", "--out", str(mask)]
+        )
+    assert exc.value.code == 2
+    assert not mask.exists()
+    out = tmp_path / "tour.csv"
+    code = cli.main(
+        [
+            "tournament", "--checkpoint", checkpoint, "--methods", "random,input",
+            "--games-per-pair", "2", "--workers", "2", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert len(out.read_text().strip().splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # failure paths and exit codes
 # ---------------------------------------------------------------------------

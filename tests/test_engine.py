@@ -157,6 +157,25 @@ def test_overline_reports_whole_run():
     assert engine.outcome(board).winning_cells == frozenset((0, c) for c in range(5))
 
 
+@pytest.mark.parametrize("to_move", [engine.RED, engine.BLUE])
+def test_both_colours_on_a_line_report_the_last_mover(to_move):
+    # unreachable through play: red holds row 0, blue holds column 6;
+    # the side that moved last (not the side to move) is the winner
+    cells = [[engine.EMPTY] * 7 for _ in range(6)]
+    for c in range(4):
+        cells[0][c] = engine.RED
+    for r in range(1, 5):
+        cells[r][6] = engine.BLUE
+    board = engine.BoardState(cells=tuple(tuple(r) for r in cells), to_move=to_move)
+    out = engine.outcome(board)
+    if to_move == engine.BLUE:
+        assert out.kind == engine.RED_WINS
+        assert out.winning_cells == frozenset((0, c) for c in range(4))
+    else:
+        assert out.kind == engine.BLUE_WINS
+        assert out.winning_cells == frozenset((r, 6) for r in range(1, 5))
+
+
 # --- game runner ------------------------------------------------------------
 
 def scripted_mover(game):

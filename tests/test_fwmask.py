@@ -174,16 +174,6 @@ def test_budget_at_least_t_reaches_zero_distortion():
     assert res.distortion <= 1e-4
 
 
-def test_fw_saliency_returns_scores_on_occupied_cells():
-    params, board = setup_case(23, n_moves=7)
-    res, scores, selected = fwmask.fw_saliency(
-        params, board, k=3, rng=np.random.default_rng(1), fraction=0.5
-    )
-    assert set(scores) == set(board.occupied_cells())
-    assert len(selected) == 4  # ceil(0.5 * 7)
-    assert selected <= set(scores)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         fwmask.FWConfig(k=-1)

@@ -14,7 +14,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from c4xai import charfn, engine, fwmask, harness, mcts, network, training
+from c4xai import attribution, charfn, engine, fwmask, harness, mcts, network, training
 
 
 def sha(data) -> str:
@@ -113,6 +113,21 @@ def _outputs(tmp_path) -> dict:
     out["fw_csv"] = file_sha(
         fwmask.result_to_csv(fw, tmp_path / "fw.csv", extra_meta={"board": "b1"})
     )
+
+    masker_opts = {"fw": {"iterations": 5}, "shapley": {"n": 10}}
+    rendered = []
+    for moves in ((3, 3, 4, 2, 2, 4, 5, 1), (3, 2, 3, 4, 4, 5, 1, 0, 6, 2, 2, 5, 0, 6)):
+        position = engine.replay(moves)
+        for method in attribution.method_names():
+            opts = masker_opts.get(method)
+            scores = attribution.piece_scores(
+                method, params, position, np.random.default_rng(13), 0.5, opts
+            )
+            coalition = attribution.select_features(
+                method, params, position, 0.5, np.random.default_rng(14), opts
+            )
+            rendered.append((method, sorted(scores.items()), sorted(coalition)))
+    out["maskers"] = sha(repr(rendered))
     return out
 
 
@@ -125,6 +140,7 @@ GOLDEN = {
     "curve_self": "5e3e20988a96e743ba483a11141788314d31766e1b634f51cab572934c6a4218",
     "fw_csv": "0b72e144933513bd57bb69378bb91403ead2360e6f3057d9cf4f9386affda802",
     "harvest": "164e93406c67d47b16d4330a99ebd95a8c7e007c00df30a105d5986043e001f9",
+    "maskers": "7e4aeb548bebef05ac74379178ebb2d46e33d7d70cb69f8493a70d638b7bc003",
     "match_competitive": ("input", "lrp_eps", 2, 2, 0, 2, 2, 4, 0.5, 6),
     "match_sampling": ("gradient", "random", 2, 4, 0, 1, 0, 6, 0.5, 5),
     "oracle_game": (2, 3, 1, 3, 4, 6, 1, 4, 0, 2, 2, 1, 3, 4, 3),

@@ -446,6 +446,19 @@ def test_any_reply_line_gives_a_legal_column_or_oracle_error(line, board):
     assert score is None or isinstance(score, int)
 
 
+@pytest.mark.parametrize(
+    "line", ["MOVE \u0663", "MOVE +3", "MOVE 0003", "MOVE 3 SCORE 1_000", "MOVE 3 SCORE +5"]
+)
+def test_off_protocol_digits_raise(line):
+    oracle = mcts.ExternalOracle(["never-started"])
+    oracle._proc = StubProcess(line.encode("utf-8") + b"\n")
+    try:
+        with pytest.raises(mcts.OracleError, match="non-integer"):
+            oracle.best_move(engine.new_board())
+    finally:
+        oracle._proc.stdout.close()
+
+
 class FullColumnOracle:
     """Answers column 0 every time, so the seventh request is illegal."""
 
