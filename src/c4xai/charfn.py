@@ -50,9 +50,12 @@ class CharacteristicFn:
     the decision context (head, board, explained action) when the game
     comes from a network.
 
+    The cache keeps every evaluated coalition for the object's lifetime:
+    a game is built for one explained position, so it holds at most the
+    distinct coalitions its caller asked for.
+
     Counters: ``queries`` (eval_mask calls), ``hits`` (queries answered
-    without evaluating the game), ``evictions`` (cache entries dropped
-    when the cache is full) and ``batches`` (calls of the evaluation
+    without evaluating the game) and ``batches`` (calls of the evaluation
     hook). ``queries - hits`` is the number of rows evaluated.
     """
 
@@ -63,7 +66,6 @@ class CharacteristicFn:
         head: str = "synthetic",
         board=None,
         a_star: Optional[int] = None,
-        cache_size: int = 1 << 16,
     ):
         self.ground = tuple(ground)
         self._fn = fn
@@ -72,10 +74,8 @@ class CharacteristicFn:
         self.a_star = a_star
         self._index = {f: i for i, f in enumerate(self.ground)}
         self._cache = {}
-        self._cache_size = cache_size
         self.queries = 0
         self.hits = 0
-        self.evictions = 0
         self.batches = 0
 
     @property
@@ -101,8 +101,6 @@ class CharacteristicFn:
         if hit is not None:
             self.hits += 1
             return hit
-        if len(self._cache) >= self._cache_size:
-            self._evict()
         self._store([mask])
         return self._cache[mask]
 
@@ -112,17 +110,13 @@ class CharacteristicFn:
         The queries are walked in blocks of BLOCK_ROWS. The uncached
         coalitions of a block go to the game in one hook call (one
         network forward for nu_pol and nu_val), then every query of the
-        block is read back through eval_mask. The cache is cleared only
-        between blocks, so a block never evicts its own rows.
+        block is read back through eval_mask.
         """
         masks = np.asarray(masks, dtype=np.int64).reshape(-1).tolist()
         out = np.empty(len(masks))
         for start in range(0, len(masks), BLOCK_ROWS):
             block = masks[start : start + BLOCK_ROWS]
             missing = [m for m in dict.fromkeys(block) if m not in self._cache]
-            if len(self._cache) + len(missing) > self._cache_size:
-                self._evict()
-                missing = list(dict.fromkeys(block))
             if missing:
                 self._store(missing)
                 self.hits -= len(missing)  # their read-back below evaluated them
@@ -138,10 +132,6 @@ class CharacteristicFn:
     def _evaluate(self, coalitions: list):
         """The game's values on ``coalitions``: the one evaluation hook."""
         return [self._fn(c) for c in coalitions]
-
-    def _evict(self) -> None:
-        self.evictions += len(self._cache)
-        self._cache.clear()
 
 
 class _NetworkGame(CharacteristicFn):
@@ -353,27 +343,11 @@ class QueryLog:
     def __init__(self, nu: CharacteristicFn):
         self._nu = nu
         self.ground = nu.ground
-        self.head = nu.head
-        self.board = nu.board
-        self.a_star = nu.a_star
         self.sizes = []
 
     @property
     def t(self):
         return self._nu.t
-
-    def mask_of(self, coalition):
-        return self._nu.mask_of(coalition)
-
-    def members(self, mask):
-        return self._nu.members(mask)
-
-    def __call__(self, coalition):
-        return self.eval_mask(self._nu.mask_of(coalition))
-
-    def eval_mask(self, mask: int) -> float:
-        self.sizes.append(bin(mask).count("1"))
-        return self._nu.eval_mask(mask)
 
     def eval_masks(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64).reshape(-1)

@@ -108,7 +108,7 @@ def cmd_optimal_moves(args) -> int:
     lines = Path(args.record).read_text().splitlines()
     body = " ".join(ln for ln in lines if not ln.lstrip().startswith("#"))
     columns = [int(c) for c in body.replace(",", " ").split()]
-    count = mcts.count_optimal_moves(args.checkpoint, columns)
+    count = mcts.count_optimal_moves(network.load(args.checkpoint), columns)
     print(f"optimal moves: {count}/41")
     return 0
 
@@ -121,13 +121,15 @@ def cmd_shapley(args) -> int:
     if args.exact:
         result = charfn.exact_shapley(nu)
     else:
-        n = args.samples if args.samples else charfn.sample_count(args.epsilon, args.delta)
+        eps = delta = None  # an explicit n carries no accuracy target
+        n = args.samples
+        if n is None:
+            eps, delta = args.epsilon, args.delta
+            n = charfn.sample_count(eps, delta)
         if args.p > 0:
-            result = charfn.partial_shapley(
-                nu, args.p, n, rng, epsilon=args.epsilon, delta=args.delta
-            )
+            result = charfn.partial_shapley(nu, args.p, n, rng, epsilon=eps, delta=delta)
         else:
-            result = charfn.sample_shapley(nu, n, rng, epsilon=args.epsilon, delta=args.delta)
+            result = charfn.sample_shapley(nu, n, rng, epsilon=eps, delta=delta)
     out = args.out or "shapley.csv"
     result.to_csv(out)
     _sidecar(args, out)

@@ -341,6 +341,8 @@ def info_perf_curve(
     'random', ('mcts', sims), or a MoveOracle. An oracle is always
     played in this process.
     """
+    if n_games < 1:
+        raise ValueError("n_games must be >= 1")
     if hasattr(opponent, "best_move"):
         workers = 1
     make_opponent = partial(_opponent_mover, opponent, params)

@@ -227,12 +227,6 @@ class WinStats:
         return self.wins / self.n_games if self.n_games else 0.0
 
 
-def _as_params(agent) -> network.NetworkParams:
-    if isinstance(agent, network.NetworkParams):
-        return agent
-    return network.load(agent)
-
-
 def agent_move(params: network.NetworkParams, board: engine.BoardState) -> int:
     """Competitive play: the most likely action under full information."""
     return int(np.argmax(network.forward_boards(params, [board]).policy[0]))
@@ -262,13 +256,14 @@ def play_agent_games(params: network.NetworkParams, opponent, seeds) -> WinStats
     )
 
 
-def benchmark(agent, mcts_config: MCTSConfig, n_games: int, seed: int = 0) -> WinStats:
+def benchmark(
+    params: network.NetworkParams, mcts_config: MCTSConfig, n_games: int, seed: int = 0
+) -> WinStats:
     """Agent (argmax policy, full information) vs the search, colours
     alternating between games. An illegal agent move ends its game and
     lands in the separate ``illegal`` bucket."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
-    params = _as_params(agent)
     return play_agent_games(
         params,
         lambda game_rng: lambda board: mcts_move(board, mcts_config, game_rng),
@@ -276,10 +271,9 @@ def benchmark(agent, mcts_config: MCTSConfig, n_games: int, seed: int = 0) -> Wi
     )
 
 
-def count_optimal_moves(agent, game_record) -> int:
+def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
     """How many of a 41-move reference game the agent predicts (argmax
     equals the recorded move at each of the 41 positions)."""
-    params = _as_params(agent)
     record = [int(c) for c in game_record]
     if len(record) != 41:
         raise IllegalRecord(f"expected 41 moves, got {len(record)}")

@@ -290,11 +290,9 @@ def _powerset(items):
 
 # --- batched evaluation --------------------------------------------------------
 
-def table_game(t, seed, cache_size=1 << 16):
+def table_game(t, seed):
     table = np.random.default_rng(seed).uniform(0.0, 1.0, size=1 << t)
-    return charfn.CharacteristicFn(
-        range(t), lambda S: table[sum(1 << f for f in S)], cache_size=cache_size
-    )
+    return charfn.CharacteristicFn(range(t), lambda S: table[sum(1 << f for f in S)])
 
 
 def walk_partial_shapley(nu, p, n_permutations, rng):
@@ -343,17 +341,24 @@ def test_batched_network_game_matches_the_walk_and_repeats():
     assert np.array_equal(got, again)
 
 
-def test_small_cache_gives_the_same_values_and_counts_evictions():
-    small = table_game(10, 5, cache_size=3 * charfn.BLOCK_ROWS)
-    large = table_game(10, 5)
-    a = charfn.partial_shapley(small, 0.5, 400, np.random.default_rng(47)).values
-    b = charfn.partial_shapley(large, 0.5, 400, np.random.default_rng(47)).values
-    assert np.array_equal(a, b)
-    assert large.evictions == 0
-    assert small.evictions > 0
-    assert small.queries == large.queries == 400 * 6
-    assert small.hits < large.hits
-    assert len(small._cache) <= 4 * charfn.BLOCK_ROWS  # full by at most one block
+def test_cache_keeps_every_coalition_of_a_long_walk():
+    t, n = 18, 10_000
+    nu = table_game(t, 5)
+    charfn.partial_shapley(nu, 0.0, n, np.random.default_rng(47))
+    rng = np.random.default_rng(47)
+    distinct = {0}
+    for _ in range(n):
+        mask = 0
+        for i in rng.permutation(t):
+            mask |= 1 << int(i)
+            distinct.add(mask)
+    assert len(distinct) > 1 << 16
+    assert nu.queries == n * (t + 1)
+    assert nu.queries - nu.hits == len(distinct) == len(nu._cache)
+    batches = nu.batches
+    charfn.partial_shapley(nu, 0.0, n, np.random.default_rng(47))
+    assert nu.batches == batches
+    assert nu.queries - nu.hits == len(distinct)
 
 
 def test_sampler_rejects_more_players_than_mask_bits():
@@ -365,7 +370,7 @@ def test_sampler_rejects_more_players_than_mask_bits():
 def test_counters_on_a_table_game():
     nu = table_game(6, 7)
     charfn.exact_shapley(nu)
-    assert (nu.queries, nu.hits, nu.evictions, nu.batches) == (64, 0, 0, 1)
+    assert (nu.queries, nu.hits, nu.batches) == (64, 0, 1)
     nu.eval_mask(5)
     assert (nu.queries, nu.hits, nu.batches) == (65, 1, 1)
     fresh = table_game(6, 7)
@@ -387,7 +392,6 @@ def test_counters_on_a_network_game(monkeypatch):
     monkeypatch.setattr(network, "forward", counting_forward)
     charfn.partial_shapley(nu, 0.5, 100, np.random.default_rng(53))
     assert nu.queries == 100 * 5
-    assert nu.evictions == 0
     assert len(forwards) == nu.batches  # one forward per hook call
     assert sum(forwards) == nu.queries - nu.hits == len(nu._cache)
     assert max(forwards) <= charfn.BLOCK_ROWS

@@ -177,6 +177,9 @@ def test_shapley_sampled_partial_and_exact(tmp_path, checkpoint):
     base = ["shapley", "--checkpoint", checkpoint, "--moves", "3,3,4", "--out", str(out)]
     assert cli.main(base + ["--samples", "40"]) == 0
     assert out.exists() and read_sidecar(out)["seed"] == 0
+    meta = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+    assert "# n_samples=40" in meta  # an explicit n claims no accuracy
+    assert "# epsilon=null" in meta and "# delta=null" in meta
 
     assert cli.main(base + ["--samples", "40", "--p", "0.5"]) == 0
     assert cli.main(base + ["--exact"]) == 0
@@ -185,6 +188,19 @@ def test_shapley_sampled_partial_and_exact(tmp_path, checkpoint):
     ]
     assert rows[0] == "row,col,phi"
     assert len(rows) == 4  # header plus one row per placed piece
+
+
+def test_shapley_zero_samples_exits_2(tmp_path, checkpoint, capsys):
+    out = tmp_path / "shap.csv"
+    code = cli.main(
+        [
+            "shapley", "--checkpoint", checkpoint, "--moves", "3,3,4",
+            "--samples", "0", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fails_to_parse(text):
@@ -427,6 +443,21 @@ def test_unknown_opponent_exits_2(checkpoint, capsys):
         ["curves", "--checkpoint", checkpoint, "--opponent", "grandmaster", "--games", "2"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("games", ["0", "-2"])
+def test_curves_without_games_exits_2(tmp_path, checkpoint, capsys, games):
+    out = tmp_path / "curve.csv"
+    code = cli.main(
+        [
+            "curves", "--checkpoint", checkpoint, "--games", games,
+            "--fractions", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
 
 
 def test_exact_shapley_on_a_large_board_exits_2(tmp_path, checkpoint):
