@@ -153,6 +153,15 @@ def fw_optimize(
     iterate seen, with the best-so-far distortion trace and the duality
     gap of every iteration. The line-search grid is one batched forward;
     the gradient forward of an iterate also gives its distortion.
+
+    Once a step leaves the iterate unchanged bit for bit, the loop stops
+    evaluating and repeats that iteration's gap and best distortion (and
+    the unchanged iterate for ``on_iterate``) for the remaining taus.
+    This is exact: the gradient, vertex and gap are functions of the
+    iterate's bits, so the line search picks the same step again, and
+    the agnostic step only shrinks, so a step that rounded to no change
+    rounds to none again. Line-search FW stalls this way (gamma = 0)
+    within a few iterations on typical boards.
     """
     obj = _Objective(params, board)
     k = min(config.k, N_CELLS)
@@ -160,24 +169,30 @@ def fw_optimize(
     best_d, grad = obj.value_and_grad(m)
     best_m = m.copy()
     trace, gaps = [], []
+    stalled = False
     for tau in range(config.iterations):
-        v = lmo_ksparse(grad, config.k)
-        direction = v - m
-        gaps.append(float(-(grad * direction).sum()))
-        if config.step_rule == "line_search":
-            gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
-            vals = obj.values(m + gammas[:, None, None] * direction)
-            gamma = float(gammas[int(np.argmin(vals))])
-        else:
-            gamma = 2.0 / (tau + 2.0)
-        m = m + gamma * direction
-        np.clip(m, 0.0, 1.0, out=m)  # guards float drift only; convexity keeps m in B_k
-        if tau + 1 < config.iterations:
-            cur, grad = obj.value_and_grad(m)
-        else:
-            cur = obj.value(m)
-        if cur < best_d:
-            best_d, best_m = cur, m.copy()
+        if not stalled:
+            v = lmo_ksparse(grad, config.k)
+            direction = v - m
+            gap = float(-(grad * direction).sum())
+            if config.step_rule == "line_search":
+                gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
+                vals = obj.values(m + gammas[:, None, None] * direction)
+                gamma = float(gammas[int(np.argmin(vals))])
+            else:
+                gamma = 2.0 / (tau + 2.0)
+            # clip guards float drift only; convexity keeps m in B_k
+            m_next = np.clip(m + gamma * direction, 0.0, 1.0)
+            stalled = m_next.tobytes() == m.tobytes()
+            if not stalled:
+                m = m_next
+                if tau + 1 < config.iterations:
+                    cur, grad = obj.value_and_grad(m)
+                else:
+                    cur = obj.value(m)
+                if cur < best_d:
+                    best_d, best_m = cur, m.copy()
+        gaps.append(gap)
         trace.append(best_d)
         if on_iterate is not None:
             on_iterate(tau, m.copy())

@@ -131,13 +131,16 @@ def _rollout(node: _Node, rng: np.random.Generator) -> float:
     # sign of the outcome for node's creator: the creator is the opponent
     # of the player to move at node, who moves first in the rollout
     sign = -1.0
+    # open columns in ascending order; a column leaves the list when it fills
+    legal = [c for c in range(engine.COLS) if heights[c] < engine.ROWS]
     while True:
-        legal = [c for c in range(engine.COLS) if heights[c] < engine.ROWS]
         col = legal[int(rng.integers(len(legal)))]
         bit = 1 << (col * _COL_BITS + heights[col])
         moved = cur | bit
         occ |= bit
         heights[col] += 1
+        if heights[col] == engine.ROWS:
+            legal.remove(col)
         ply += 1
         if _bb_win(moved):
             return sign

@@ -1,11 +1,14 @@
 """Rate-distortion mask optimization checks."""
 
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from c4xai import engine, fwmask, network
+
+DESK_CKPT = Path(__file__).parent / "data" / "desk_checkpoint.ckpt"
 
 
 def setup_case(seed=0, n_moves=8, channels=8):
@@ -271,7 +274,87 @@ def test_forwards_per_iteration(monkeypatch):
     # reference policy, one forward per iterate m_0..m_9, the final iterate
     assert rows == [1] * 12
     rows.clear()
+    taus = []
     cfg = fwmask.FWConfig(k=3, iterations=10, step_rule="line_search")
-    fwmask.fw_optimize(params, board, cfg)
-    assert len(rows) == 22
-    assert rows.count(fwmask.LINE_SEARCH_GRID) == 10
+    fwmask.fw_optimize(params, board, cfg, on_iterate=lambda tau, m: taus.append(tau))
+    # reference policy, gradient at m_0, grid from m_0, gradient at m_1,
+    # grid from m_1 picks gamma = 0: m_2 == m_1, and nothing is evaluated again
+    grid = fwmask.LINE_SEARCH_GRID
+    assert rows == [1, 1, grid, 1, grid]
+    assert taus == list(range(10))
+
+
+def reference_fw(params, board, cfg, on_iterate):
+    """FW that evaluates every iteration to the end: no fixed-point exit."""
+    obj = fwmask._Objective(params, board)
+    m = np.full((6, 7), min(cfg.k, 42) / 42)
+    best_d, grad = obj.value_and_grad(m)
+    best_m = m.copy()
+    trace, gaps = [], []
+    gammas = np.linspace(0.0, 1.0, fwmask.LINE_SEARCH_GRID)
+    for tau in range(cfg.iterations):
+        direction = fwmask.lmo_ksparse(grad, cfg.k) - m
+        gaps.append(float(-(grad * direction).sum()))
+        if cfg.step_rule == "line_search":
+            vals = obj.values(m + gammas[:, None, None] * direction)
+            gamma = gammas[int(np.argmin(vals))]
+        else:
+            gamma = 2.0 / (tau + 2.0)
+        m = np.clip(m + gamma * direction, 0.0, 1.0)
+        d, grad = obj.value_and_grad(m)
+        if d < best_d:
+            best_d, best_m = d, m.copy()
+        trace.append(best_d)
+        on_iterate(tau, m.copy())
+    return best_m, best_d, trace, gaps
+
+
+def assert_matches_reference(params, board, cfg):
+    """fw_optimize equals reference_fw bit for bit; returns the iterates."""
+    seen, ref_seen = [], []
+    res = fwmask.fw_optimize(
+        params, board, cfg, on_iterate=lambda tau, m: seen.append((tau, m.tobytes()))
+    )
+    mask, d, trace, gaps = reference_fw(
+        params, board, cfg, lambda tau, m: ref_seen.append((tau, m.tobytes()))
+    )
+    assert res.mask.tobytes() == mask.tobytes()
+    assert res.distortion == d
+    assert res.trace.tobytes() == np.array(trace).tobytes()
+    assert res.gaps.tobytes() == np.array(gaps).tobytes()
+    assert seen == ref_seen
+    return [m for _, m in seen]
+
+
+@pytest.mark.parametrize("rule", ["agnostic", "line_search"])
+@pytest.mark.parametrize("seed", [41, 43, 47, 53])
+def test_fixed_point_exit_matches_full_iterations(rule, seed):
+    params, board = setup_case(seed, n_moves=4 + seed % 13)
+    for k, iterations in ((3, 30), (2.7, 12), (42, 25), (board.turn // 2 + 1, 1)):
+        assert_matches_reference(params, board, fwmask.FWConfig(k, iterations, rule))
+
+
+@pytest.mark.parametrize("rule", ["agnostic", "line_search"])
+def test_fixed_point_exit_matches_full_iterations_on_the_desk_agent(rule):
+    params = network.load(DESK_CKPT)
+    for seed, k in ((1, 3), (2, 4), (3, 2.7)):
+        _, board = setup_case(seed, n_moves=6 + 4 * seed)
+        assert_matches_reference(params, board, fwmask.FWConfig(k, 20, rule))
+
+
+def test_fixed_point_exit_at_tau_1_and_from_the_start():
+    params, board = setup_case(43)
+    iterates = assert_matches_reference(
+        params, board, fwmask.FWConfig(3, 10, "line_search")
+    )
+    # the line search moves once, then picks gamma = 0 at tau = 1
+    assert iterates[0] != np.full((6, 7), 3 / 42).tobytes()
+    assert iterates[1:] == [iterates[0]] * 9
+    # budget below one cell: the agnostic step lands on the empty vertex
+    # at tau = 0 and cannot leave it
+    iterates = assert_matches_reference(params, board, fwmask.FWConfig(0.5, 6))
+    assert iterates == [np.zeros((6, 7)).tobytes()] * 6
+    for rule in ("agnostic", "line_search"):
+        # k = 0 starts on the empty vertex, so no step moves at all
+        iterates = assert_matches_reference(params, board, fwmask.FWConfig(0, 4, rule))
+        assert iterates == [np.zeros((6, 7)).tobytes()] * 4

@@ -113,6 +113,11 @@ def _outputs(tmp_path) -> dict:
     out["fw_csv"] = file_sha(
         fwmask.result_to_csv(fw, tmp_path / "fw.csv", extra_meta={"board": "b1"})
     )
+    cfg = fwmask.FWConfig(k=3, iterations=50, step_rule="line_search")
+    fw = fwmask.fw_optimize(params, board, cfg)
+    out["fw_ls_csv"] = file_sha(
+        fwmask.result_to_csv(fw, tmp_path / "fw_ls.csv", extra_meta={"board": "b1"})
+    )
 
     masker_opts = {"fw": {"iterations": 5}, "shapley": {"n": 10}}
     rendered = []
@@ -139,6 +144,7 @@ GOLDEN = {
     "curve_random": "a3b77d756779ee492c78274448ff9428340d4ffbe73ca259c3295b4e5b96e5ce",
     "curve_self": "5e3e20988a96e743ba483a11141788314d31766e1b634f51cab572934c6a4218",
     "fw_csv": "0b72e144933513bd57bb69378bb91403ead2360e6f3057d9cf4f9386affda802",
+    "fw_ls_csv": "0e9e80fedd3f8908fb60d8dc2a458804c5d0e7995b445b5b03a5cf1f9b1c8933",
     "harvest": "164e93406c67d47b16d4330a99ebd95a8c7e007c00df30a105d5986043e001f9",
     "maskers": "7e4aeb548bebef05ac74379178ebb2d46e33d7d70cb69f8493a70d638b7bc003",
     "match_competitive": ("input", "lrp_eps", 2, 2, 0, 2, 2, 4, 0.5, 6),
