@@ -345,9 +345,11 @@ def main(argv=None) -> int:
         network.NetworkError,
         engine.EngineError,
         charfn.CharFnError,
+        attribution.AttributionError,
+        fwmask.FWError,
         mcts.IllegalRecord,
         harness.HarnessError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

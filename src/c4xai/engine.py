@@ -8,6 +8,7 @@ the canonical feature order being column-major, bottom-up.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional
@@ -175,7 +176,8 @@ def outcome(board: BoardState) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Game runner: every game in the package is played through ``play_lockstep``.
+# Game runner: every game in the package is played through ``play_lockstep``,
+# and every seeded series of games through ``play_series``.
 # ---------------------------------------------------------------------------
 
 def play_lockstep(choose: Callable, games: int) -> list:
@@ -234,6 +236,35 @@ def result_for(out: Outcome, offender: Optional[int], colour: int) -> str:
     if out.kind == DRAW:
         return "draw"
     return "win" if out.kind == _WIN_KIND[colour] else "loss"
+
+
+def _series_game(job):
+    """One game of ``play_series``: (A's result, B's result, game length)."""
+    make_a, make_b, idx, ss = job
+    rng = np.random.default_rng(ss)
+    colour_a = RED if idx % 2 == 0 else BLUE
+    colour_b = other(colour_a)
+    final, out, offender = play({colour_a: make_a(rng), colour_b: make_b(rng)})
+    return (
+        result_for(out, offender, colour_a),
+        result_for(out, offender, colour_b),
+        final.turn,
+    )
+
+
+def play_series(make_a: Callable, make_b: Callable, seeds, workers: int = 1) -> list:
+    """One game per SeedSequence in ``seeds`` between ``make_a(rng)`` and
+    ``make_b(rng)``, both built on the game's own rng, A playing red in
+    even-numbered games. Games run in a process pool when workers > 1;
+    either way one (A's result, B's result, game length) comes back per
+    seed, in seed order, each result as ``result_for`` gives it."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [(make_a, make_b, i, ss) for i, ss in enumerate(seeds)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_series_game, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    return [_series_game(job) for job in jobs]
 
 
 def encode(board: BoardState, revealed: Optional[Iterable] = None) -> np.ndarray:

@@ -8,7 +8,8 @@ picks its move from the masked view by sampling (non-competitive play).
 Colours alternate between games; an illegal move loses the game for the
 offender and is also tallied separately.
 
-Every game is played by ``engine.play`` and scored per colour by
+Matches, curves and ``play_vs_random`` play their games through
+``engine.play_series``, which scores each game per colour with
 ``engine.result_for``. All randomness flows from one root seed through
 per-game child seeds, so results are identical for any worker count
 and bit-exact on reruns.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -121,7 +121,7 @@ def ground_truth_score(
 
 
 # ---------------------------------------------------------------------------
-# movers and seeded games
+# movers
 # ---------------------------------------------------------------------------
 
 def masked_policy_mover(
@@ -153,32 +153,6 @@ def random_mover(rng: np.random.Generator) -> Callable:
         return int(legal[int(rng.integers(len(legal)))])
 
     return move
-
-
-def _play_game(job):
-    """One game between the movers ``make_a(rng)`` and ``make_b(rng)``
-    on the game's own rng, A playing red in even-numbered games.
-    Returns (A's result, B's result, game length)."""
-    make_a, make_b, idx, ss = job
-    rng = np.random.default_rng(ss)
-    colour_a = engine.RED if idx % 2 == 0 else engine.BLUE
-    colour_b = engine.other(colour_a)
-    final, out, offender = engine.play({colour_a: make_a(rng), colour_b: make_b(rng)})
-    return (
-        engine.result_for(out, offender, colour_a),
-        engine.result_for(out, offender, colour_b),
-        final.turn,
-    )
-
-
-def _play_games(make_a, make_b, seeds, workers: int) -> list:
-    """``_play_game`` once per seed, in a process pool when workers > 1;
-    results come back in seed order either way."""
-    jobs = [(make_a, make_b, i, ss) for i, ss in enumerate(seeds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_play_game, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [_play_game(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +209,7 @@ def play_match(
         partial(masked_policy_mover, params, method, fraction, competitive=competitive, opts=opts)
         for method, opts in ((method_a, opts_a), (method_b, opts_b))
     )
-    games = _play_games(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games), workers)
+    games = engine.play_series(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games), workers)
     results_a = [a for a, _, _ in games]
     results_b = [b for _, b, _ in games]
     return MatchResult(
@@ -331,40 +305,37 @@ def info_perf_curve(
     fractions: Iterable[float],
     n_games: int,
     seed: int = 0,
-    competitive: bool = False,
     workers: int = 1,
 ) -> list:
     """Win rate (and mean game length) per revealed fraction.
 
     ``selector`` is any registered method; 'random' reproduces uniform
     random hiding. ``opponent`` is 'self' (full-information twin),
-    'random', ('mcts', sims), or a MoveOracle. An oracle is always
-    played in this process.
+    'random', ('mcts', sims), or a move oracle: any object whose
+    ``best_move(board)`` returns (column, score or None). An oracle is
+    always played in this process.
     """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     if hasattr(opponent, "best_move"):
-        workers = 1
+        workers = min(workers, 1)  # an invalid count stays invalid
     make_opponent = partial(_opponent_mover, opponent, params)
     rows = []
     for f_idx, fraction in enumerate(fractions):
         # seed keyed on (seed, fraction index): fractions can be re-run singly
         seeds = np.random.SeedSequence([seed, f_idx]).spawn(n_games)
-        make_agent = partial(
-            masked_policy_mover, params, selector, float(fraction), competitive=competitive
-        )
-        games = _play_games(make_agent, make_opponent, seeds, workers)
-        results = [agent for agent, _, _ in games]
-        wins, illegal = results.count("win"), results.count("illegal")
+        make_agent = partial(masked_policy_mover, params, selector, float(fraction))
+        games = engine.play_series(make_agent, make_opponent, seeds, workers)
+        stats = mcts.WinStats.tally([agent for agent, _, _ in games], seeds)
         rows.append(
             {
                 "fraction": float(fraction),
                 "n_games": n_games,
-                "wins": wins,
-                "draws": results.count("draw"),
-                "losses": results.count("loss") + illegal,
-                "illegal": illegal,
-                "win_rate": wins / n_games,
+                "wins": stats.wins,
+                "draws": stats.draws,
+                "losses": stats.losses + stats.illegal,
+                "illegal": stats.illegal,
+                "win_rate": stats.win_rate,
                 "mean_length": float(np.mean([length for _, _, length in games])),
             }
         )
@@ -383,7 +354,9 @@ def play_vs_random(
 ) -> mcts.WinStats:
     """Competitive (argmax) full-information agent against a uniform
     random mover, colours alternating."""
-    return mcts.play_agent_games(params, random_mover, np.random.SeedSequence(seed).spawn(n_games))
+    seeds = np.random.SeedSequence(seed).spawn(n_games)
+    games = engine.play_series(lambda _: partial(mcts.agent_move, params), random_mover, seeds)
+    return mcts.WinStats.tally([agent for agent, _, _ in games], seeds)
 
 
 # ---------------------------------------------------------------------------

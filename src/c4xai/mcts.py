@@ -7,22 +7,22 @@ parent mover's interest. Rollouts run on a bitboard (7 bits per column,
 one guard bit) and are cross-checked against the authoritative engine
 in the test suite.
 
-A MoveOracle is anything with best_move(board) -> (column, score|None).
-The built-in fallback wraps a high-simulation search; an external
-perfect solver can plug in over a line protocol on standard streams.
+``benchmark`` plays a trained agent against the search through
+``engine.play_series``. A move oracle is any object with
+best_move(board) -> (column, score|None); an external perfect solver
+plugs in as one over a line protocol on standard streams.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
 import select as _select
 import subprocess
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +50,6 @@ EXPLORATION = math.sqrt(2.0)  # the UCT exploration constant
 @dataclass(frozen=True)
 class MCTSConfig:
     simulations: int = 500
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.simulations < 1:
@@ -229,34 +228,22 @@ class WinStats:
     def win_rate(self) -> float:
         return self.wins / self.n_games if self.n_games else 0.0
 
+    @classmethod
+    def tally(cls, results, seeds) -> "WinStats":
+        """Count the agent's ``engine.result_for`` strings, one per seed."""
+        return cls(
+            wins=results.count("win"),
+            draws=results.count("draw"),
+            losses=results.count("loss"),
+            illegal=results.count("illegal"),
+            n_games=len(results),
+            game_seeds=tuple(int(ss.generate_state(1)[0]) for ss in seeds),
+        )
+
 
 def agent_move(params: network.NetworkParams, board: engine.BoardState) -> int:
     """Competitive play: the most likely action under full information."""
     return int(np.argmax(network.forward_boards(params, [board]).policy[0]))
-
-
-def play_agent_games(params: network.NetworkParams, opponent, seeds) -> WinStats:
-    """Agent (argmax policy, full information) against ``opponent(rng)``,
-    one game per SeedSequence in ``seeds``, the agent playing red in
-    even-numbered games. Each game's rng is built from its seed and
-    handed to the opponent."""
-    results = []
-    for g, ss in enumerate(seeds):
-        colour = engine.RED if g % 2 == 0 else engine.BLUE
-        movers = {
-            colour: lambda board: agent_move(params, board),
-            engine.other(colour): opponent(np.random.default_rng(ss)),
-        }
-        _, out, offender = engine.play(movers)
-        results.append(engine.result_for(out, offender, colour))
-    return WinStats(
-        wins=results.count("win"),
-        draws=results.count("draw"),
-        losses=results.count("loss"),
-        illegal=results.count("illegal"),
-        n_games=len(results),
-        game_seeds=tuple(int(ss.generate_state(1)[0]) for ss in seeds),
-    )
 
 
 def benchmark(
@@ -267,11 +254,13 @@ def benchmark(
     lands in the separate ``illegal`` bucket."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
-    return play_agent_games(
-        params,
+    seeds = np.random.SeedSequence(seed).spawn(n_games)
+    games = engine.play_series(
+        lambda _: partial(agent_move, params),
         lambda game_rng: lambda board: mcts_move(board, mcts_config, game_rng),
-        np.random.SeedSequence(seed).spawn(n_games),
+        seeds,
     )
+    return WinStats.tally([agent for agent, _, _ in games], seeds)
 
 
 def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
@@ -294,28 +283,8 @@ def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
 
 
 # ---------------------------------------------------------------------------
-# move oracle plug-in
+# external move oracle
 # ---------------------------------------------------------------------------
-
-class MoveOracle(Protocol):
-    def best_move(self, board: engine.BoardState) -> tuple:  # (column, score or None)
-        ...
-
-
-@dataclass
-class MCTSOracle:
-    """Built-in fallback oracle: a fixed-budget search, deterministic per
-    position (the seed folds in the position key)."""
-
-    config: MCTSConfig = field(default_factory=lambda: MCTSConfig(simulations=5000))
-
-    def best_move(self, board: engine.BoardState) -> tuple:
-        digest = hashlib.sha256(board.key()).digest()
-        entropy = int.from_bytes(digest[:8], "little")
-        rng = np.random.default_rng(np.random.SeedSequence([self.config.seed or 0, entropy]))
-        result = mcts_search(board, self.config, rng)
-        return result.column, None
-
 
 class ExternalOracle:
     """Line-protocol client for an external solver process.
@@ -328,6 +297,8 @@ class ExternalOracle:
 
     def __init__(self, cmd, timeout: float = 10.0):
         self.cmd = list(cmd)
+        if not self.cmd:
+            raise OracleError("empty oracle command")
         self.timeout = timeout
         self._proc = None
 
@@ -408,18 +379,3 @@ class ExternalOracle:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def play_oracle_game(oracle_a: MoveOracle, oracle_b: Optional[MoveOracle] = None) -> list:
-    """Full game between two oracles; returns the column sequence. An
-    illegal oracle column raises OracleError."""
-    oracle_b = oracle_b or oracle_a
-    final, _, offender = engine.play(
-        {
-            engine.RED: lambda board: oracle_a.best_move(board)[0],
-            engine.BLUE: lambda board: oracle_b.best_move(board)[0],
-        }
-    )
-    if offender is not None:
-        raise OracleError(f"oracle chose an illegal column at ply {final.turn}")
-    return [int(col) for col, _ in final.history]

@@ -482,6 +482,36 @@ def test_unknown_method_is_an_argparse_error(checkpoint, capsys):
     assert exc.value.code == 2
 
 
+FINISHED = "3,4,3,4,3,4,3"  # red wins down column 3
+
+# expected exit code and argv; {ckpt}, {dir} and {out} are filled in per run
+MALFORMED = {
+    "unknown tournament method": (2, "tournament --methods foo,random --games-per-pair 1"),
+    "unknown curve selector": (2, "curves --selector foo --fractions 1 --games 1"),
+    "unknown groundtruth method": (2, "groundtruth --methods foo --cases 1 --confidence 0"),
+    "fw on a finished game": (2, f"fw --moves {FINISHED}"),
+    "fw scores on a finished game": (2, f"saliency-dump --method fw --moves {FINISHED}"),
+    "directory as checkpoint": (2, "benchmark --checkpoint {dir} --games 1"),
+    "directory as board": (2, "shapley --board {dir} --samples 5"),
+    "directory as config": (2, "train --config {dir}"),
+    "directory as out": (2, "fw --moves 3 --iterations 1 --out {dir}"),
+    "empty oracle command": (3, "curves --opponent oracle: --fractions 1 --games 1"),
+    "no workers": (2, "curves --workers 0 --fractions 1 --games 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_invocation_exits_without_traceback(tmp_path, checkpoint, capsys, case):
+    code, line = MALFORMED[case]
+    if "--checkpoint" not in line and not line.startswith("train"):
+        line += " --checkpoint {ckpt}"
+    if "--out" not in line:
+        line += " --out {out}"
+    argv = line.format(ckpt=checkpoint, dir=tmp_path, out=tmp_path / "out").split()
+    assert cli.main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # external oracle wiring
 # ---------------------------------------------------------------------------

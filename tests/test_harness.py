@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from c4xai import attribution, engine, harness, mcts, network
+from c4xai import attribution, engine, harness, network
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,11 @@ class TestCurves:
         assert rows[0]["n_games"] == 2
 
     def test_oracle_opponent_skips_the_pool_but_still_runs(self, params):
-        oracle = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=20))
+        class FirstLegalOracle:
+            def best_move(self, board):
+                return board.legal_moves()[0], None
+
+        oracle = FirstLegalOracle()
         rows = harness.info_perf_curve(
             params, "random", oracle, fractions=[1.0], n_games=2, seed=0, workers=4
         )

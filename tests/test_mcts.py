@@ -256,45 +256,6 @@ class TestCountOptimalMoves:
 
 
 # ---------------------------------------------------------------------------
-# built-in oracle
-# ---------------------------------------------------------------------------
-
-class TestMCTSOracle:
-    def test_deterministic_per_position(self):
-        oracle = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=100))
-        board = play([3, 2])
-        assert oracle.best_move(board) == oracle.best_move(board)
-        assert oracle.best_move(board)[1] is None
-
-    def test_finds_win_in_one(self):
-        oracle = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=800))
-        board = play([3, 0, 3, 1, 3, 6])
-        col, score = oracle.best_move(board)
-        assert col == 3
-        assert score is None
-
-    def test_seed_changes_the_stream(self):
-        board = play([3, 2, 4])
-        a = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=50, seed=1))
-        b = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=50, seed=2))
-        # same position, different fold-in seed: visits may differ even if
-        # the chosen column coincides, so just check both moves are legal
-        assert a.best_move(board)[0] in board.legal_moves()
-        assert b.best_move(board)[0] in board.legal_moves()
-
-
-def test_oracle_selfplay_game_is_legal_and_finished():
-    oracle = mcts.MCTSOracle(config=mcts.MCTSConfig(simulations=60))
-    record = mcts.play_oracle_game(oracle)
-    board = engine.new_board()
-    for col in record:
-        assert not engine.outcome(board).is_terminal
-        assert col in board.legal_moves()
-        board = engine.apply_move(board, col)
-    assert engine.outcome(board).is_terminal
-
-
-# ---------------------------------------------------------------------------
 # external oracle over the line protocol
 # ---------------------------------------------------------------------------
 
@@ -385,6 +346,10 @@ class TestExternalOracle:
             with pytest.raises(mcts.OracleError, match="more than one line"):
                 oracle.best_move(engine.new_board())
 
+    def test_empty_command_raises(self):
+        with pytest.raises(mcts.OracleError, match="empty oracle command"):
+            mcts.ExternalOracle([])
+
     def test_unstartable_command_raises(self):
         oracle = mcts.ExternalOracle(["/nonexistent/oracle-binary"], timeout=1.0)
         with pytest.raises(mcts.OracleError, match="cannot start"):
@@ -457,15 +422,3 @@ def test_off_protocol_digits_raise(line):
             oracle.best_move(engine.new_board())
     finally:
         oracle._proc.stdout.close()
-
-
-class FullColumnOracle:
-    """Answers column 0 every time, so the seventh request is illegal."""
-
-    def best_move(self, board):
-        return 0, None
-
-
-def test_oracle_game_with_an_illegal_column_raises():
-    with pytest.raises(mcts.OracleError, match="illegal column at ply 6"):
-        mcts.play_oracle_game(FullColumnOracle())
