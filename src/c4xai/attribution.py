@@ -53,16 +53,17 @@ def _full_trace(params, board):
 
 
 def _prob_gradient(params, trace, a_star) -> np.ndarray:
-    one_hot = np.zeros((1, network.N_ACTIONS))
-    one_hot[0, a_star] = 1.0
+    """d P(a*) / d input for every row of ``trace``."""
+    one_hot = np.zeros((len(trace.policy), network.N_ACTIONS))
+    one_hot[:, a_star] = 1.0
     _, g = network.backward(params, trace, policy_grad=one_hot, want_param_grads=False)
-    return g[0]
+    return g
 
 
 def gradient(params: network.NetworkParams, board: engine.BoardState) -> SaliencyMap:
     """d P(a*) / d input."""
     _, trace, a_star = _full_trace(params, board)
-    return SaliencyMap(_prob_gradient(params, trace, a_star), "gradient", a_star, board.key())
+    return SaliencyMap(_prob_gradient(params, trace, a_star)[0], "gradient", a_star, board.key())
 
 
 def smoothgrad(
@@ -75,13 +76,19 @@ def smoothgrad(
     """Mean gradient over n Gaussian-perturbed copies of the encoding.
 
     Noise lands on all three channels of the encoding as-is; the
-    perturbed tensors are generally not valid board encodings."""
+    perturbed tensors are generally not valid board encodings. The n
+    noise draws are one ``rng.normal`` call (the same stream as n
+    separate draws), the n copies one forward and one backward, and the
+    gradients are summed in draw order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x, _, a_star = _full_trace(params, board)
+    shape = (n, *x.shape)
+    noise = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
+    grads = _prob_gradient(params, network.forward(params, x + noise), a_star)
     acc = np.zeros_like(x, dtype=float)
-    for _ in range(n):
-        noisy = x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else x
-        trace = network.forward(params, noisy)
-        acc += _prob_gradient(params, trace, a_star)
+    for g in grads:
+        acc += g
     return SaliencyMap(acc / n, "smoothgrad", a_star, board.key())
 
 

@@ -46,7 +46,9 @@ class EmptyPermutationClass(CharFnError):
 class CharacteristicFn:
     """Set function over a fixed ground set, memoized by coalition bitmask.
 
-    ``fn`` receives a frozenset of ground-set members. Metadata carries
+    ``fn`` receives a frozenset of ground-set members; a subclass may
+    instead override ``_evaluate``, which receives the uncached coalition
+    bitmasks of a block (bit i set: ``ground[i]`` is in). Metadata carries
     the decision context (head, board, explained action) when the game
     comes from a network.
 
@@ -125,27 +127,36 @@ class CharacteristicFn:
 
     def _store(self, masks: list) -> None:
         self.batches += 1
-        values = self._evaluate([self.members(m) for m in masks])
+        values = self._evaluate(masks)
         for mask, val in zip(masks, values):
             self._cache[mask] = float(val)
 
-    def _evaluate(self, coalitions: list):
-        """The game's values on ``coalitions``: the one evaluation hook."""
-        return [self._fn(c) for c in coalitions]
+    def _evaluate(self, masks: list):
+        """The game's values on the coalition bitmasks ``masks``: the one
+        evaluation hook. Here ``fn`` of each coalition's member set."""
+        return [self._fn(self.members(m)) for m in masks]
 
 
 class _NetworkGame(CharacteristicFn):
-    """nu_pol / nu_val: a hook call is one forward of the stacked encodings."""
+    """nu_pol / nu_val: a hook call is one ``network.forward_masks`` of
+    the board's full encoding under the block's 0/1 coalition grids."""
 
     def __init__(self, params: network.NetworkParams, board: engine.BoardState, head: str):
         if engine.outcome(board).is_terminal:
             raise CharFnError("characteristic functions are defined on ongoing positions")
-        a_star = int(np.argmax(network.forward_boards(params, [board]).policy[0]))
+        trace = network.forward_boards(params, [board])
+        a_star = int(np.argmax(trace.policy[0]))
         super().__init__(board.occupied_cells(), None, head=head, board=board, a_star=a_star)
         self._params = params
+        self._x = trace.x[0]
+        self._rows, self._cols = np.array(self.ground, dtype=np.intp).reshape(-1, 2).T
 
-    def _evaluate(self, coalitions):
-        trace = network.forward_boards(self._params, [self.board] * len(coalitions), coalitions)
+    def _evaluate(self, masks):
+        # bit i of each mask reveals ground[i]: scatter the (n, t) bits onto their cells
+        bits = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(self.t) & 1
+        grids = np.zeros((len(masks), engine.ROWS, engine.COLS), dtype=self._x.dtype)
+        grids[:, self._rows, self._cols] = bits
+        trace = network.forward_masks(self._params, self._x, grids)
         return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
 
 

@@ -56,7 +56,12 @@ class FWResult:
 
 
 class _Objective:
-    """Distortion and its mask gradient for one (params, board) pair."""
+    """Distortion and its mask gradient for one (params, board) pair.
+
+    Keeps the board's full encoding from the reference forward; every
+    later forward is one ``network.forward_masks`` on it, so the board is
+    encoded once.
+    """
 
     def __init__(self, params: network.NetworkParams, board: engine.BoardState):
         if engine.outcome(board).is_terminal:
@@ -69,11 +74,8 @@ class _Objective:
         self.p_full = float(self.policy[self.a_star])
 
     def _forward(self, ms: np.ndarray):
-        """One network forward on the board under each mask of ``ms``."""
-        x = np.repeat(self.x_full[None], len(ms), axis=0)
-        x[:, 0] *= ms
-        x[:, 1] *= ms
-        trace = network.forward(self.params, x)
+        """One ``network.forward_masks`` on the board under each mask of ``ms``."""
+        trace = network.forward_masks(self.params, self.x_full, ms)
         # Python float ** per row: numpy's ** 2 multiplies where float pow calls pow()
         return trace, [(self.p_full - float(p)) ** 2 for p in trace.policy[:, self.a_star]]
 

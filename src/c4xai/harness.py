@@ -65,6 +65,8 @@ def harvest_ground_truth(
     The registered case is the position just before that move; its
     ground-truth cells are the union of all completed lines minus the
     cell the winning move lands on."""
+    if n_cases < 1:
+        raise ValueError("n_cases must be >= 1")
     if game_cap is None:
         game_cap = max(200, 60 * n_cases)
     cases = []
@@ -270,6 +272,8 @@ def round_robin(
     methods = tuple(methods)
     if len(methods) < 2:
         raise ValueError("need at least two methods")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"repeated method in {methods}")
     pairs = list(combinations(methods, 2))
     pair_seeds = np.random.SeedSequence(seed).spawn(len(pairs))
     matches = []

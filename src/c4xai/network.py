@@ -321,6 +321,20 @@ def forward_boards(params: NetworkParams, boards, revealed=None) -> ForwardTrace
     return forward(params, x)
 
 
+def forward_masks(params: NetworkParams, x: np.ndarray, masks: np.ndarray) -> ForwardTrace:
+    """One forward on one board under each (6, 7) mask of ``masks``.
+
+    ``x`` is the board's full-information encoding, as ``forward_boards``
+    leaves it in ``trace.x``. Row i multiplies its two colour channels by
+    ``masks[i]`` and keeps the open-cells channel. A 0/1 mask gives the
+    bits of ``forward_boards`` with the coalition of its 1-cells revealed.
+    """
+    x = np.repeat(np.asarray(x, dtype=params.dtype)[None], len(masks), axis=0)
+    x[:, 0] *= masks
+    x[:, 1] *= masks
+    return forward(params, x)
+
+
 def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an action from a policy vector renormalised in float64.
 

@@ -61,6 +61,39 @@ def test_smoothgrad_converges_to_neighborhood_mean():
     assert np.max(np.abs(s.scores - g)) < 0.05 * max(1.0, np.max(np.abs(g)))
 
 
+def test_smoothgrad_draws_the_stream_of_n_separate_draws():
+    params, board = setup_case(15)
+    rng = np.random.default_rng(17)
+    attribution.smoothgrad(params, board, rng, n=6, sigma=0.3)
+    ref = np.random.default_rng(17)
+    for _ in range(6):
+        ref.normal(0.0, 0.3, size=(3, 6, 7))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_smoothgrad_rejects_fewer_than_one_copy(n):
+    params, board = setup_case(21)
+    with pytest.raises(ValueError):
+        attribution.smoothgrad(params, board, np.random.default_rng(0), n=n)
+
+
+def test_smoothgrad_is_the_mean_of_per_copy_gradients():
+    params, board = setup_case(19)
+    x = network.forward_boards(params, [board]).x[0]
+    a_star = attribution.gradient(params, board).a_star
+    rng = np.random.default_rng(23)
+    ref = np.zeros((3, 6, 7))
+    for _ in range(8):
+        trace = network.forward(params, x + rng.normal(0.0, 0.2, size=x.shape))
+        _, g = network.backward(
+            params, trace, policy_grad=np.eye(network.N_ACTIONS)[[a_star]], want_param_grads=False
+        )
+        ref += g[0]
+    got = attribution.smoothgrad(params, board, np.random.default_rng(23), n=8, sigma=0.2)
+    assert np.allclose(got.scores, ref / 8, rtol=1e-9, atol=1e-15)
+
+
 def test_guided_backprop_differs_from_gradient_and_is_finite():
     params, board = setup_case(11)
     g = attribution.gradient(params, board)

@@ -341,6 +341,32 @@ def test_batched_network_game_matches_the_walk_and_repeats():
     assert np.array_equal(got, again)
 
 
+class EncodedCoalitionGame(charfn._NetworkGame):
+    """Reference hook: each coalition's member set encoded cell by cell."""
+
+    def _evaluate(self, masks):
+        coalitions = [self.members(m) for m in masks]
+        trace = network.forward_boards(self._params, [self.board] * len(coalitions), coalitions)
+        return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head", ["policy", "value"])
+@pytest.mark.parametrize("n_moves", [8, 17])
+def test_mask_grid_hook_is_the_encoded_coalition_hook_bit_for_bit(n_moves, head, dtype):
+    _, params, board = make_net_game(n_moves, seed=n_moves)
+    params = params.astype(dtype)
+    got_nu = charfn._NetworkGame(params, board, head)
+    ref_nu = EncodedCoalitionGame(params, board, head)
+    assert got_nu.t == n_moves
+    got = charfn.partial_shapley(got_nu, 0.5, 200, np.random.default_rng(59)).values
+    ref = charfn.partial_shapley(ref_nu, 0.5, 200, np.random.default_rng(59)).values
+    assert np.array_equal(got, ref)
+    counters = (got_nu.queries, got_nu.hits, got_nu.batches)
+    assert counters == (ref_nu.queries, ref_nu.hits, ref_nu.batches)
+    assert got_nu._cache == ref_nu._cache
+
+
 def test_cache_keeps_every_coalition_of_a_long_walk():
     t, n = 18, 10_000
     nu = table_game(t, 5)

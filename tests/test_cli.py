@@ -497,6 +497,9 @@ MALFORMED = {
     "directory as out": (2, "fw --moves 3 --iterations 1 --out {dir}"),
     "empty oracle command": (3, "curves --opponent oracle: --fractions 1 --games 1"),
     "no workers": (2, "curves --workers 0 --fractions 1 --games 1"),
+    "repeated tournament method": (2, "tournament --methods random,random --games-per-pair 1"),
+    "no groundtruth cases": (2, "groundtruth --methods random --cases 0 --confidence 0"),
+    "negative groundtruth cases": (2, "groundtruth --methods random --cases -1 --confidence 0"),
 }
 
 

@@ -148,7 +148,8 @@ GOLDEN = {
     "fw_csv": "0b72e144933513bd57bb69378bb91403ead2360e6f3057d9cf4f9386affda802",
     "fw_ls_csv": "0e9e80fedd3f8908fb60d8dc2a458804c5d0e7995b445b5b03a5cf1f9b1c8933",
     "harvest": "164e93406c67d47b16d4330a99ebd95a8c7e007c00df30a105d5986043e001f9",
-    "maskers": "7e4aeb548bebef05ac74379178ebb2d46e33d7d70cb69f8493a70d638b7bc003",
+    # re-recorded when smoothgrad's n noisy copies became one batched forward and backward
+    "maskers": "4d979ec931aeeffe356066cd664c8135a90d02c9b50fed710b28c9f8b18a056a",
     "match_competitive": ("input", "lrp_eps", 2, 2, 0, 2, 2, 4, 0.5, 6),
     "match_sampling": ("gradient", "random", 2, 4, 0, 1, 0, 6, 0.5, 5),
     "play_vs_random": (4, 0, 0, 2, 6),

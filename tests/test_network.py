@@ -454,6 +454,48 @@ def test_forward_boards_equals_forward_on_hand_built_encodings(dtype):
         network.forward_boards(params, boards, revealed[:2])
 
 
+def ongoing_board(n_pieces, seed):
+    """An ongoing board reached by uniform random play with ``n_pieces`` pieces."""
+    rng = np.random.default_rng(seed)
+    while True:
+        board = engine.new_board()
+        while board.turn < n_pieces and not engine.outcome(board).is_terminal:
+            legal = board.legal_moves()
+            board = engine.apply_move(board, int(legal[rng.integers(len(legal))]))
+        if board.turn == n_pieces and not engine.outcome(board).is_terminal:
+            return board
+
+
+@pytest.mark.parametrize("t", [8, 17, 26])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_masks_on_coalition_grids_is_forward_boards(dtype, t):
+    params = make_params(64, seed=t, dtype=dtype)
+    board = ongoing_board(t, seed=t)
+    cells = board.occupied_cells()
+    keep = np.random.default_rng(t + 1).random((40, t)) < 0.5
+    keep[0], keep[1] = False, True  # the empty and the full coalition
+    coalitions = [frozenset(c for c, k in zip(cells, row) if k) for row in keep]
+    grids = np.zeros((len(coalitions), 6, 7))
+    for grid, coalition in zip(grids, coalitions):
+        for cell in coalition:
+            grid[cell] = 1.0
+    x_full = network.forward_boards(params, [board]).x[0]
+    got = network.forward_masks(params, x_full, grids)
+    ref = network.forward_boards(params, [board] * len(coalitions), coalitions)
+    assert got.x.dtype == dtype
+    for name in ("x", "policy_logits", "policy", "value"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_forward_masks_damps_only_the_colour_channels():
+    params = make_params(8, seed=39)
+    x_full = random_input(40)
+    masks = np.random.default_rng(41).uniform(size=(3, 6, 7))
+    got = network.forward_masks(params, x_full, masks)
+    assert np.array_equal(got.x[:, :2], x_full[None, :2] * masks[:, None])
+    assert np.array_equal(got.x[:, 2], np.broadcast_to(x_full[2], (3, 6, 7)))
+
+
 def test_guided_relu_rule_masks_negative_upstream():
     params = make_params(8, seed=27, dtype=np.float64)
     x = random_input(28)
