@@ -48,22 +48,17 @@ class SaliencyMap:
 
 
 def _full_trace(params, board):
+    if engine.outcome(board).is_terminal:
+        raise AttributionError("saliency is defined on ongoing positions")
     trace = network.forward_boards(params, [board])
     return trace.x[0], trace, int(np.argmax(trace.policy[0]))
-
-
-def _prob_gradient(params, trace, a_star) -> np.ndarray:
-    """d P(a*) / d input for every row of ``trace``."""
-    one_hot = np.zeros((len(trace.policy), network.N_ACTIONS))
-    one_hot[:, a_star] = 1.0
-    _, g = network.backward(params, trace, policy_grad=one_hot, want_param_grads=False)
-    return g
 
 
 def gradient(params: network.NetworkParams, board: engine.BoardState) -> SaliencyMap:
     """d P(a*) / d input."""
     _, trace, a_star = _full_trace(params, board)
-    return SaliencyMap(_prob_gradient(params, trace, a_star)[0], "gradient", a_star, board.key())
+    g = network.action_input_grad(params, trace, a_star)
+    return SaliencyMap(g[0], "gradient", a_star, board.key())
 
 
 def smoothgrad(
@@ -85,7 +80,7 @@ def smoothgrad(
     x, _, a_star = _full_trace(params, board)
     shape = (n, *x.shape)
     noise = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
-    grads = _prob_gradient(params, network.forward(params, x + noise), a_star)
+    grads = network.action_input_grad(params, network.forward(params, x + noise), a_star)
     acc = np.zeros_like(x, dtype=float)
     for g in grads:
         acc += g
@@ -97,15 +92,12 @@ def guided_backprop(params: network.NetworkParams, board: engine.BoardState) -> 
     only if both its forward activation and the incoming signal are
     positive."""
     _, trace, a_star = _full_trace(params, board)
-    one_hot = np.zeros((1, network.N_ACTIONS))
-    one_hot[0, a_star] = 1.0
-    _, g = network.backward(
+    g = network.action_input_grad(
         params,
         trace,
-        policy_grad=one_hot,
+        a_star,
         at_logits=True,
-        relu_rule="guided",
-        want_param_grads=False,
+        relu=lambda name, z, d: ((z > 0) & (d > 0)).astype(z.dtype),
     )
     return SaliencyMap(g[0], "guided_backprop", a_star, board.key())
 
@@ -178,15 +170,8 @@ def deeplift_rescale(
     for i in range(1, network.N_FC + 1):
         local[f"fc{i}"] = _rescale_slope(trace.fc_z[i - 1], trace0.fc_z[i - 1])
 
-    one_hot = np.zeros((1, network.N_ACTIONS))
-    one_hot[0, a_star] = 1.0
-    _, mult = network.backward(
-        params,
-        trace,
-        policy_grad=one_hot,
-        at_logits=True,
-        relu_local_grad=local,
-        want_param_grads=False,
+    mult = network.action_input_grad(
+        params, trace, a_star, at_logits=True, relu=lambda name, z, d: local[name]
     )
     contrib = mult[0] * (x - np.asarray(baseline, dtype=x.dtype))
     return SaliencyMap(contrib, "deeplift_rescale", a_star, board.key())
@@ -337,6 +322,8 @@ def piece_scores(
     opts: Optional[dict] = None,
 ) -> dict:
     """A masker's per-piece scores; ``fraction`` sets the FW budget k."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     opts = opts or {}
     if method in _SCORERS:
         return _SCORERS[method](params, board, rng, fraction, opts)

@@ -126,7 +126,7 @@ def cmd_shapley(args) -> int:
         if n is None:
             eps, delta = args.epsilon, args.delta
             n = charfn.sample_count(eps, delta)
-        if args.p > 0:
+        if args.p != 0:  # partial_shapley rejects p outside [0, 1]
             result = charfn.partial_shapley(nu, args.p, n, rng, epsilon=eps, delta=delta)
         else:
             result = charfn.sample_shapley(nu, n, rng, epsilon=eps, delta=delta)

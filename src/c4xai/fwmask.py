@@ -10,6 +10,7 @@ entries mark the pieces that matter for the decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,8 +38,8 @@ class FWConfig:
     step_rule: str = "agnostic"  # "agnostic" 2/(tau+2), or "line_search"
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        if not 0 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and non-negative, got {self.k}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.step_rule not in ("agnostic", "line_search"):
@@ -88,11 +89,7 @@ class _Objective:
     def value_and_grad(self, m: np.ndarray):
         trace, (d_val,) = self._forward(m[None])
         p_m = float(trace.policy[0, self.a_star])
-        one_hot = np.zeros(network.N_ACTIONS)
-        one_hot[self.a_star] = 1.0
-        _, input_grad = network.backward(
-            self.params, trace, policy_grad=one_hot[None], want_param_grads=False
-        )
+        input_grad = network.action_input_grad(self.params, trace, self.a_star)
         # d/dm of (p_full - P(a*; x[m]))^2, channel 2 unaffected by m
         dp_dm = input_grad[0, 0] * self.x_full[0] + input_grad[0, 1] * self.x_full[1]
         grad = -2.0 * (self.p_full - p_m) * dp_dm

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -346,16 +346,6 @@ def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(N_ACTIONS, p=probs))
 
 
-def _relu_factor(z, upstream, rule, local, name):
-    if local is not None and name in local:
-        return local[name]
-    if rule == "exact":
-        return (z > 0).astype(z.dtype)
-    if rule == "guided":
-        return ((z > 0) & (upstream > 0)).astype(z.dtype)
-    raise ValueError(f"unknown relu rule {rule!r}")
-
-
 def backward(
     params: NetworkParams,
     trace: ForwardTrace,
@@ -363,8 +353,7 @@ def backward(
     value_grad: Optional[np.ndarray] = None,
     *,
     at_logits: bool = False,
-    relu_rule: str = "exact",
-    relu_local_grad: Optional[dict] = None,
+    relu: Optional[Callable] = None,
     want_param_grads: bool = True,
     want_input_grad: bool = True,
 ):
@@ -373,10 +362,11 @@ def backward(
     ``policy_grad`` is taken w.r.t. the softmax probabilities unless
     ``at_logits`` is set, in which case it seeds the logits directly
     (used by the saliency rules that explain a raw logit).
-    ``relu_rule`` 'exact' is the true subgradient; 'guided' zeroes the
-    signal where either the forward activation or the incoming backward
-    signal is non-positive. ``relu_local_grad`` overrides the ReLU local
-    derivative per layer name (rescale-style rules).
+    ``relu(name, z, d)`` returns the factor that multiplies the signal
+    ``d`` arriving at the ReLU of layer ``name`` ('fc5' down to 'conv1')
+    with pre-activation ``z``; None is the true subgradient
+    ``(z > 0)``. Saliency rules change the ReLU derivative through it
+    (guided backprop, DeepLIFT's rescale slopes).
     Returns (param gradient dict, input gradient); without
     ``want_input_grad`` conv1's input gradient is skipped and None.
     """
@@ -409,7 +399,7 @@ def backward(
 
     for i in range(N_FC, 0, -1):
         z = trace.fc_z[i - 1]
-        d = d * _relu_factor(z, d, relu_rule, relu_local_grad, f"fc{i}")
+        d = d * ((z > 0).astype(z.dtype) if relu is None else relu(f"fc{i}", z, d))
         a_prev = trace.fc_a[i - 2] if i >= 2 else trace.flat
         if want_param_grads:
             grads[f"fc{i}_w"] = d.T @ a_prev
@@ -420,7 +410,7 @@ def backward(
     d = d.reshape(n, c, *CONV_HW[-1])
     for i in range(len(CONV_PADS), 0, -1):
         z = trace.conv_z[i - 1]
-        d = d * _relu_factor(z, d, relu_rule, relu_local_grad, f"conv{i}")
+        d = d * ((z > 0).astype(z.dtype) if relu is None else relu(f"conv{i}", z, d))
         a_prev = trace.conv_a[i - 2] if i >= 2 else trace.x
         pad = CONV_PADS[i - 1]
         if want_param_grads:
@@ -431,6 +421,24 @@ def backward(
             return grads, None
         d = conv_input_backward(d, t[f"conv{i}_w"], a_prev.shape[2:], pad)
     return grads, d
+
+
+def action_input_grad(
+    params: NetworkParams,
+    trace: ForwardTrace,
+    action: int,
+    *,
+    at_logits: bool = False,
+    relu: Optional[Callable] = None,
+) -> np.ndarray:
+    """d P(action) / d x for every row of ``trace``, or d logit / d x
+    with ``at_logits``; ``relu`` is ``backward``'s hook."""
+    seed = np.zeros((len(trace.policy), N_ACTIONS))
+    seed[:, action] = 1.0
+    _, g = backward(
+        params, trace, policy_grad=seed, at_logits=at_logits, relu=relu, want_param_grads=False
+    )
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,17 @@ def test_unknown_method_raises():
         attribution.select_features("mystery", params, board, 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "method",
+    ("gradient", "smoothgrad", "guided_backprop", "lrp_eps", "deeplift_rescale", "random", "input"),
+)
+def test_map_methods_reject_finished_boards(method):
+    params, _ = setup_case(53)
+    finished = engine.replay([3, 4, 3, 4, 3, 4, 3])
+    with pytest.raises(attribution.AttributionError, match="ongoing"):
+        attribution.saliency(method, params, finished, np.random.default_rng(0))
+
+
 def test_input_fraction_override_reveals_all():
     params, board = setup_case(59, n_moves=9)
     sel = attribution.select_features("input", params, board, 0.2, np.random.default_rng(1))

@@ -500,6 +500,16 @@ MALFORMED = {
     "repeated tournament method": (2, "tournament --methods random,random --games-per-pair 1"),
     "no groundtruth cases": (2, "groundtruth --methods random --cases 0 --confidence 0"),
     "negative groundtruth cases": (2, "groundtruth --methods random --cases -1 --confidence 0"),
+    "negative shapley p": (2, "shapley --moves 3 --p -0.5 --samples 5"),
+    "nan fw budget": (2, "fw --moves 3 --k nan --iterations 1"),
+    "infinite fw budget": (2, "fw --moves 3 --k inf --iterations 1"),
+    "fw fraction above one": (2, "saliency-dump --method fw --fraction 2 --moves 3"),
+    "negative shapley fraction": (2, "saliency-dump --method shapley --fraction -1 --moves 3"),
+    "groundtruth fraction above one": (
+        2,
+        "groundtruth --methods random --fraction 5 --cases 1 --confidence 0",
+    ),
+    "saliency on a finished game": (2, f"saliency-dump --method gradient --moves {FINISHED}"),
 }
 
 

@@ -178,8 +178,9 @@ def test_budget_at_least_t_reaches_zero_distortion():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        fwmask.FWConfig(k=-1)
+    for k in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fwmask.FWConfig(k=k)
     with pytest.raises(ValueError):
         fwmask.FWConfig(iterations=0)
     with pytest.raises(ValueError):

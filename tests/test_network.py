@@ -504,7 +504,8 @@ def test_guided_relu_rule_masks_negative_upstream():
     _, g_exact = network.backward(params, trace, policy_grad=one_hot, at_logits=True,
                                   want_param_grads=False)
     _, g_guided = network.backward(params, trace, policy_grad=one_hot, at_logits=True,
-                                   relu_rule="guided", want_param_grads=False)
+                                   relu=lambda name, z, d: ((z > 0) & (d > 0)).astype(z.dtype),
+                                   want_param_grads=False)
     assert np.isfinite(g_guided).all()
     assert not np.allclose(g_exact, g_guided)
 
