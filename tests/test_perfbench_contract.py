@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c4xai import attribution, charfn, engine, fwmask, network
+from c4xai import attribution, charfn, engine, network
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -50,18 +50,10 @@ def test_eval_masks_reads_every_query_back_through_eval_mask(spans, case):
 
 
 @pytest.mark.parametrize(
-    "explain",
-    [
-        lambda params, board: attribution.gradient(params, board),
-        lambda params, board: attribution.smoothgrad(params, board, np.random.default_rng(0), n=3),
-        lambda params, board: attribution.guided_backprop(params, board),
-        lambda params, board: attribution.deeplift_rescale(params, board),
-        lambda params, board: fwmask.distortion_gradient(params, board, np.full((6, 7), 0.5)),
-    ],
-    ids=["gradient", "smoothgrad", "guided_backprop", "deeplift_rescale", "fw"],
+    "method", ("gradient", "smoothgrad", "guided_backprop", "deeplift_rescale", "fw")
 )
-def test_explainers_run_input_only_backward_passes(spans, case, explain):
+def test_explainers_run_input_only_backward_passes(spans, case, method):
     with spans.Tracer() as tracer:
-        explain(*case)
+        attribution.piece_scores(method, *case, np.random.default_rng(0), opts={"iterations": 2})
     backwards = [n for n in span_names(tracer) if n.startswith("network.backward")]
     assert backwards and set(backwards) == {"network.backward_input"}
