@@ -47,9 +47,13 @@ class SaliencyMap:
             raise AttributionError(f"non-finite saliency from {self.method}")
 
 
-def _full_trace(params, board):
+def _require_ongoing(board):
     if engine.outcome(board).is_terminal:
         raise AttributionError("saliency is defined on ongoing positions")
+
+
+def _full_trace(params, board):
+    _require_ongoing(board)
     trace = network.forward_boards(params, [board])
     return trace.x[0], trace, int(np.argmax(trace.policy[0]))
 
@@ -77,6 +81,8 @@ def smoothgrad(
     gradients are summed in draw order."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     x, _, a_star = _full_trace(params, board)
     shape = (n, *x.shape)
     noise = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
@@ -188,9 +194,10 @@ def _rescale_slope(z: np.ndarray, z0: np.ndarray) -> np.ndarray:
 def random_saliency(
     params: network.NetworkParams, board: engine.BoardState, rng: np.random.Generator
 ) -> SaliencyMap:
-    """Standard-normal noise per entry; the null baseline."""
-    _, _, a_star = _full_trace(params, board)
-    return SaliencyMap(rng.standard_normal((3, engine.ROWS, engine.COLS)), "random", a_star, board.key())
+    """Standard-normal noise per entry; the null baseline. It explains no
+    decision, so it runs no forward and leaves ``a_star`` unset."""
+    _require_ongoing(board)
+    return SaliencyMap(rng.standard_normal((3, engine.ROWS, engine.COLS)), "random", None, board.key())
 
 
 def input_saliency(params: network.NetworkParams, board: engine.BoardState) -> SaliencyMap:

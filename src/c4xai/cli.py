@@ -155,6 +155,9 @@ def cmd_fw(args) -> int:
 
 
 def cmd_saliency_dump(args) -> int:
+    # map methods ignore the fraction, but a bad value is still bad input
+    if not 0.0 <= args.fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {args.fraction}")
     params = network.load(args.checkpoint)
     board = _load_board(args)
     rng = np.random.default_rng(args.seed)

@@ -3,8 +3,11 @@
 The tree policy is plain UCB1 with uniform-random rollouts to the end
 of the game. Node statistics are kept from the perspective of the
 player whose move created the node, so selection always maximizes the
-parent mover's interest. Rollouts run on a bitboard (7 bits per column,
-one guard bit) and are cross-checked against the authoritative engine
+parent mover's interest. Each node keeps its untried columns in
+ascending order; expansion takes one of them uniformly at random.
+Rollouts run on a bitboard (7 bits per column, one guard bit) and draw
+all their random numbers as one ``rng.random`` block, one number per
+remaining ply; they are cross-checked against the authoritative engine
 in the test suite.
 
 ``benchmark`` plays a trained agent against the search through
@@ -83,7 +86,7 @@ def _bb_from_board(board: engine.BoardState):
 
 
 class _Node:
-    __slots__ = ("cur", "occ", "heights", "ply", "terminal", "children", "n", "w")
+    __slots__ = ("cur", "occ", "heights", "ply", "terminal", "untried", "children", "n", "w")
 
     def __init__(self, cur, occ, heights, ply, terminal):
         self.cur = cur
@@ -91,12 +94,11 @@ class _Node:
         self.heights = heights
         self.ply = ply
         self.terminal = terminal  # None, "win" (for the move's maker), "draw"
+        # open columns not yet expanded, ascending
+        self.untried = [c for c in range(engine.COLS) if heights[c] < engine.ROWS]
         self.children = {}
         self.n = 0
         self.w = 0.0
-
-    def legal(self):
-        return [c for c in range(engine.COLS) if self.heights[c] < engine.ROWS]
 
 
 def _child(node: _Node, col: int) -> _Node:
@@ -118,35 +120,42 @@ def _child(node: _Node, col: int) -> _Node:
 
 def _rollout(node: _Node, rng: np.random.Generator) -> float:
     """Random playout; +1/0/-1 from the perspective of the player whose
-    move created ``node``."""
+    move created ``node``.
+
+    One uniform number u per remaining ply, drawn up front, picks
+    ``legal[int(u * len(legal))]`` among the open columns (ascending; a
+    column leaves the list when it fills). The win test is ``_bb_win``
+    written out for the stones of the player who just moved."""
     if node.terminal == "win":
         return 1.0
     if node.terminal == "draw":
         return 0.0
+    rows = engine.ROWS
     cur, occ = node.cur, node.occ
     heights = list(node.heights)
-    ply = node.ply
-    total = engine.ROWS * engine.COLS
+    legal = list(node.untried)  # a leaf is unexpanded: all its open columns
     # sign of the outcome for node's creator: the creator is the opponent
     # of the player to move at node, who moves first in the rollout
     sign = -1.0
-    # open columns in ascending order; a column leaves the list when it fills
-    legal = [c for c in range(engine.COLS) if heights[c] < engine.ROWS]
-    while True:
-        col = legal[int(rng.integers(len(legal)))]
-        bit = 1 << (col * _COL_BITS + heights[col])
+    for u in rng.random(engine.ROWS * engine.COLS - node.ply).tolist():
+        col = legal[int(u * len(legal))]
+        height = heights[col]
+        heights[col] = height + 1
+        if height + 1 == rows:
+            legal.remove(col)
+        bit = 1 << (col * _COL_BITS + height)
         moved = cur | bit
         occ |= bit
-        heights[col] += 1
-        if heights[col] == engine.ROWS:
-            legal.remove(col)
-        ply += 1
-        if _bb_win(moved):
+        if (
+            (m := moved & (moved >> 1)) & (m >> 2)
+            or (m := moved & (moved >> 7)) & (m >> 14)
+            or (m := moved & (moved >> 8)) & (m >> 16)
+            or (m := moved & (moved >> 6)) & (m >> 12)
+        ):
             return sign
-        if ply == total:
-            return 0.0
         cur = occ ^ moved
         sign = -sign
+    return 0.0  # the board filled without a line
 
 
 @dataclass
@@ -170,18 +179,18 @@ def mcts_search(
         path = [node]
         # select: first visit of any node plays out from the node itself
         while node.terminal is None and node.n > 0:
-            legal = node.legal()
-            fresh = [col for col in legal if col not in node.children]
-            if fresh:
-                col = fresh[int(rng.integers(len(fresh)))]
-                node.children[col] = _child(node, col)
-                node = node.children[col]
-                path.append(node)
+            untried = node.untried
+            if untried:
+                col = untried.pop(int(rng.integers(len(untried))))
+                child = node.children[col] = _child(node, col)
+                if not untried:  # fully expanded: UCB scans columns in ascending order
+                    node.children = dict(sorted(node.children.items()))
+                path.append(child)
+                node = child
                 break
             log_n = math.log(node.n)
             best, best_score = None, -math.inf
-            for col in legal:
-                ch = node.children[col]
+            for ch in node.children.values():
                 score = ch.w / ch.n + c * math.sqrt(log_n / ch.n)
                 if score > best_score:
                     best, best_score = ch, score
@@ -189,9 +198,10 @@ def mcts_search(
             path.append(node)
         value = _rollout(node, rng)
         # value is signed for the creator of the leaf; creators alternate
-        for depth, visited in enumerate(reversed(path)):
+        for visited in reversed(path):
             visited.n += 1
-            visited.w += value if depth % 2 == 0 else -value
+            visited.w += value
+            value = -value
     visits = {col: ch.n for col, ch in root.children.items()}
     values = {col: (ch.w / ch.n if ch.n else 0.0) for col, ch in root.children.items()}
     if visits:
@@ -200,7 +210,7 @@ def mcts_search(
         column = int(best_cols[int(rng.integers(len(best_cols)))])
     else:
         # a one-simulation search only visits the root; pick uniformly
-        legal = root.legal()
+        legal = root.untried
         column = int(legal[int(rng.integers(len(legal)))])
     return SearchResult(column=column, visits=visits, values=values, simulations=config.simulations)
 

@@ -78,6 +78,13 @@ def test_smoothgrad_rejects_fewer_than_one_copy(n):
         attribution.smoothgrad(params, board, np.random.default_rng(0), n=n)
 
 
+@pytest.mark.parametrize("sigma", [-0.5, -np.inf, np.nan, np.inf])
+def test_smoothgrad_rejects_negative_or_non_finite_sigma(sigma):
+    params, board = setup_case(21)
+    with pytest.raises(ValueError, match="sigma"):
+        attribution.smoothgrad(params, board, np.random.default_rng(0), n=2, sigma=sigma)
+
+
 def test_smoothgrad_is_the_mean_of_per_copy_gradients():
     params, board = setup_case(19)
     x = network.forward_boards(params, [board]).x[0]
@@ -169,6 +176,18 @@ def test_random_saliency_seeded():
     b = attribution.random_saliency(params, board, np.random.default_rng(5))
     assert np.array_equal(a.scores, b.scores)
     assert abs(a.scores.mean()) < 0.2
+
+
+def test_random_saliency_is_the_rng_draw_without_a_forward(monkeypatch):
+    params, board = setup_case(37)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("random_saliency ran a forward")
+
+    monkeypatch.setattr(network, "forward", no_forward)
+    smap = attribution.random_saliency(params, board, np.random.default_rng(5))
+    assert smap.a_star is None
+    assert np.array_equal(smap.scores, np.random.default_rng(5).standard_normal((3, 6, 7)))
 
 
 def test_input_saliency_is_encoding():

@@ -505,6 +505,8 @@ MALFORMED = {
     "infinite fw budget": (2, "fw --moves 3 --k inf --iterations 1"),
     "fw fraction above one": (2, "saliency-dump --method fw --fraction 2 --moves 3"),
     "negative shapley fraction": (2, "saliency-dump --method shapley --fraction -1 --moves 3"),
+    "gradient fraction above one": (2, "saliency-dump --method gradient --fraction 5 --moves 3"),
+    "nan random fraction": (2, "saliency-dump --method random --fraction nan --moves 3"),
     "groundtruth fraction above one": (
         2,
         "groundtruth --methods random --fraction 5 --cases 1 --confidence 0",

@@ -171,6 +171,102 @@ class TestSearch:
 
 
 # ---------------------------------------------------------------------------
+# rollouts and tree nodes
+# ---------------------------------------------------------------------------
+
+class FixedUniforms:
+    """Stands in for the rollout's generator: ``random(k)`` hands out the
+    next k of a fixed list of uniforms and records k."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.sizes = []
+
+    def random(self, k):
+        self.sizes.append(k)
+        out, self.values = self.values[:k], self.values[k:]
+        assert len(out) == k
+        return np.array(out)
+
+
+def replay_rollout(board, uniforms):
+    """What a rollout from ``board`` should return, played on the engine:
+    each uniform u picks legal_moves()[int(u * len(legal))]. Also returns
+    whether some column filled before the game ended."""
+    creator = engine.other(board.to_move)
+    filled = False
+    for u in uniforms:
+        legal = board.legal_moves()
+        col = legal[int(u * len(legal))]
+        board = engine.apply_move(board, col)
+        out = engine.outcome(board)
+        if out.is_terminal:
+            if out.kind == engine.DRAW:
+                return 0.0, filled
+            return (1.0 if engine.other(board.to_move) == creator else -1.0), filled
+        filled = filled or board.column_height(col) == engine.ROWS
+    raise AssertionError("uniforms ran out before the game ended")
+
+
+def leaf(board):
+    cur, occ, heights = mcts._bb_from_board(board)
+    return mcts._Node(cur, occ, heights, board.turn, None)
+
+
+class TestRolloutAndNodes:
+    def test_rollout_equals_the_engine_replay_of_its_uniforms(self):
+        # columns 0 and 6 each have one free cell, so they fill mid-rollout
+        board = play([0] * 5 + [6] * 5)
+        rng = np.random.default_rng(17)
+        filled_mid_rollout = 0
+        for _ in range(300):
+            uniforms = rng.random(engine.ROWS * engine.COLS - board.turn).tolist()
+            stub = FixedUniforms(uniforms)
+            expected, filled = replay_rollout(board, uniforms)
+            assert mcts._rollout(leaf(board), stub) == expected
+            assert stub.sizes == [engine.ROWS * engine.COLS - board.turn]
+            filled_mid_rollout += filled
+        assert filled_mid_rollout > 100
+
+    def test_rollout_uniforms_pick_from_the_columns_still_open(self):
+        # u = 0.99 takes the last open column: column 6 fills with the
+        # first move, so the next 0.99 lands on column 5
+        board = play([6, 6, 6, 6, 6])
+        uniforms = [0.99, 0.99] + [0.0] * 40
+        expected, filled = replay_rollout(board, uniforms)
+        assert filled
+        assert mcts._rollout(leaf(board), FixedUniforms(uniforms)) == expected
+
+    def test_new_node_lists_its_open_columns_ascending(self):
+        node = leaf(play([0] * 6 + [4] * 6))
+        assert node.untried == [1, 2, 3, 5, 6]
+        assert node.children == {}
+
+    def test_expansion_is_uniform_over_untried_columns(self):
+        # two simulations: the root plays out, then expands one column
+        board = play([0] * 6)  # column 0 closed
+        cfg = mcts.MCTSConfig(simulations=2)
+        counts = np.zeros(engine.COLS, dtype=int)
+        for s in range(1200):
+            (col,) = mcts.mcts_search(board, cfg, np.random.default_rng(s)).visits
+            counts[col] += 1
+        assert counts[0] == 0
+        # 200 expected per open column, standard deviation 12.9
+        assert np.all(np.abs(counts[1:] - 200) < 60), counts
+
+    def test_equal_ucb_scores_select_the_lowest_column(self, monkeypatch):
+        # drawn rollouts give every child the same statistics, so after
+        # the root's six open columns are expanded the next selection is
+        # a six-way tie, which goes to column 1 whatever the expansion order
+        monkeypatch.setattr(mcts, "_rollout", lambda node, rng: 0.0)
+        board = play([0] * 6)
+        cfg = mcts.MCTSConfig(simulations=8)
+        for s in range(20):
+            visits = mcts.mcts_search(board, cfg, np.random.default_rng(s)).visits
+            assert visits == {1: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+
+
+# ---------------------------------------------------------------------------
 # agent benchmarking
 # ---------------------------------------------------------------------------
 

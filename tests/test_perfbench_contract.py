@@ -1,9 +1,11 @@
 """What perfbench's span tracer relies on in c4xai.
 
 ``perfbench/spans.py`` wraps module attributes by name, counts
-``CharacteristicFn.eval_mask`` spans for the charfn hit ratio and names a
-backward span by its ``want_param_grads`` keyword. These tests import it
-read-only and pin those three assumptions.
+``CharacteristicFn.eval_mask`` spans for the charfn hit ratio, names a
+backward span by its ``want_param_grads`` keyword and reads the
+simulations of each ``mcts_search`` call from its ``config`` argument for
+``mcts.sims_per_s``. These tests import it read-only and pin those four
+assumptions.
 """
 
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c4xai import attribution, charfn, engine, network
+from c4xai import attribution, charfn, engine, mcts, network
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -57,3 +59,17 @@ def test_explainers_run_input_only_backward_passes(spans, case, method):
         attribution.piece_scores(method, *case, np.random.default_rng(0), opts={"iterations": 2})
     backwards = [n for n in span_names(tracer) if n.startswith("network.backward")]
     assert backwards and set(backwards) == {"network.backward_input"}
+
+
+def test_benchmark_traces_one_search_per_search_move(spans):
+    params = network.init(network.ArchDescriptor(8), np.random.default_rng(5))
+    config = mcts.MCTSConfig(simulations=12)
+    with spans.Tracer() as tracer:
+        stats = mcts.benchmark(params, config, n_games=4, seed=6)
+    names = span_names(tracer)
+    searches = [i for i, name in enumerate(names) if name == "mcts.mcts_search"]
+    # every applied ply is an agent move (one batch-1 forward each) or a
+    # search move; an illegal agent move ends its game unapplied
+    agent_plies = names.count("network.forward_b1") - stats.illegal
+    assert len(searches) == names.count("engine.apply_move") - agent_plies > 0
+    assert [tracer.qty[i] for i in searches] == [config.simulations] * len(searches)
