@@ -19,9 +19,13 @@ is the ``transpose(0, 3, 1, 2)`` view of its NHWC buffer, so passing it
 on to the next layer costs no copy. Conv weights likewise keep the
 (C_out, C_in, 3, 3) shape on (ky, kx, c_in, c_out) memory, so the GEMM
 weight matrix is a view; checkpoints store the (C_out, C_in, 3, 3)
-bytes. The weight gradient sums one GEMM per block of 8
-samples in sample order, not one GEMM over the batch, so training gives
-the same bits at any BLAS thread count (see ``_conv_param_backward``).
+bytes. The weight gradient sums one GEMM per block of 8 samples in
+sample order, each over that block's own im2col rows, not one GEMM over
+the batch, so training gives the same bits at any BLAS thread count
+(see ``_conv_param_backward``). The input gradient's col2im gathers the
+GEMM's rows through a cached index table and sums each input cell's
+nine kernel offsets in offset order, 8 samples at a time (see
+``conv_input_backward``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -181,6 +186,7 @@ def init(arch: ArchDescriptor, rng: np.random.Generator, dtype=np.float32) -> Ne
 # ---------------------------------------------------------------------------
 
 # samples per partial product of the weight gradient (see _conv_param_backward)
+# and per col2im gather of the input gradient (see conv_input_backward)
 _WGRAD_BLOCK = 8
 
 
@@ -204,14 +210,14 @@ def _im2col(x: np.ndarray, pad: int):
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), dtype=x.dtype)
         xp[:, pad : pad + h, pad : pad + w] = _nhwc(x)
     else:
-        xp = _nhwc(x)
+        xp = np.ascontiguousarray(_nhwc(x))
     oh, ow = xp.shape[1] - 2, xp.shape[2] - 2
     s0, s1, s2, s3 = xp.strides
-    # one copy of the (n, OH, OW, ky, kx, c_in) window view: for NHWC memory
-    # each (kx, c_in) run is contiguous, so rows are copied 3 C_in at a time
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, oh, ow, 3, 3, c_in), (s0, s1, s2, s1, s2, s3), writeable=False
-    )
+    # one copy of the (n, OH, OW, ky, kx, c_in) window view: each (kx, c_in)
+    # run of the NHWC buffer is contiguous, so rows are copied 3 C_in at a
+    # time. np.ndarray on the buffer is cheaper to call than as_strided, and
+    # the weight gradient calls this once per block of samples.
+    win = np.ndarray((n, oh, ow, 3, 3, c_in), xp.dtype, xp, strides=(s0, s1, s2, s1, s2, s3))
     return win.reshape(n * oh * ow, 9 * c_in), oh, ow
 
 
@@ -223,18 +229,55 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
-def conv_input_backward(dout: np.ndarray, w: np.ndarray, in_hw: tuple, pad: int) -> np.ndarray:
-    """Gradient w.r.t. the conv input (a transposed convolution)."""
-    n, c_out, oh, ow = dout.shape
-    c_in = w.shape[1]
-    d = _nhwc(dout).reshape(n * oh * ow, c_out)
-    dcols = (d @ _wmat(w).T).reshape(n, oh, ow, 9, c_in)
-    h, w_ = in_hw
-    dxp = np.zeros((n, h + 2 * pad, w_ + 2 * pad, c_in), dtype=dout.dtype)
+@lru_cache(maxsize=None)
+def _col2im_index(oh: int, ow: int, pad: int) -> np.ndarray:
+    """(_WGRAD_BLOCK, 9, H * W) gather table for the col2im of one conv shape.
+
+    Entry [j, k, cell] is the (C_in,)-row of ``conv_input_backward``'s
+    dcols that kernel offset k adds into input cell ``cell`` of a block's
+    sample j, or -1, the zero row after the last sample, where offset k
+    reaches no output cell from that input cell.
+    """
+    k_rows = np.full((9, oh + 2, ow + 2), -1)
+    out_rows = np.arange(oh * ow).reshape(oh, ow) * 9
     for k in range(9):
         ky, kx = divmod(k, 3)
-        dxp[:, ky : ky + oh, kx : kx + ow] += dcols[:, :, :, k]
-    return dxp[:, pad : pad + h, pad : pad + w_].transpose(0, 3, 1, 2)
+        k_rows[k, ky : ky + oh, kx : kx + ow] = out_rows + k
+    cells = k_rows[:, pad : oh + 2 - pad, pad : ow + 2 - pad].reshape(9, -1)
+    sample = np.arange(_WGRAD_BLOCK)[:, None, None] * (oh * ow * 9)
+    idx = np.where(cells < 0, -1, cells + sample)
+    idx.flags.writeable = False
+    return idx
+
+
+def conv_input_backward(dout: np.ndarray, w: np.ndarray, in_hw: tuple, pad: int) -> np.ndarray:
+    """Gradient w.r.t. the conv input (a transposed convolution).
+
+    col2im is one gather of dcols rows per block of _WGRAD_BLOCK samples
+    and an add.reduce over the kernel offsets. Reducing a non-innermost
+    axis adds each cell's terms in offset order starting from +0, as nine
+    shifted ``+=`` into a zeroed buffer do; an offset that reaches no
+    output cell gathers the zero row, and adding +0 to a sum that starts
+    at +0 never changes it.
+    """
+    n, c_out, oh, ow = dout.shape
+    c_in = w.shape[1]
+    h, w_ = in_hw
+    per_sample = oh * ow * 9
+    # the result before the transient rows: in that order a batch-64
+    # backward grows the heap less (play peak_rss_mb 56.0 MB, not 58.6)
+    dx = np.empty((n, h * w_, c_in), dtype=dout.dtype)
+    # dcols as (C_in,)-rows in (sample, oy, ox, k) order, then one zero row
+    rows = np.empty((n * per_sample + 1, c_in), dtype=dout.dtype)
+    d = _nhwc(dout).reshape(n * oh * ow, c_out)
+    np.matmul(d, _wmat(w).T, out=rows[:-1].reshape(n * oh * ow, 9 * c_in))
+    rows[-1] = 0
+    idx = _col2im_index(oh, ow, pad)
+    # per block, so the gathered terms (9 times the result) stay small
+    for start in range(0, n, _WGRAD_BLOCK):
+        terms = rows[start * per_sample :].take(idx[: n - start], axis=0)
+        np.add.reduce(terms, axis=1, initial=0.0, out=dx[start : start + _WGRAD_BLOCK])
+    return dx.reshape(n, h, w_, c_in).transpose(0, 3, 1, 2)
 
 
 def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
@@ -242,14 +285,16 @@ def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
     # rounds that long reduction differently at 1 and 2 threads, so the
     # bits of dw (and of every trained checkpoint) would follow the thread
     # count. Partial products over _WGRAD_BLOCK whole samples, summed in
-    # sample order, give the same bits at 1 and 2 threads.
+    # sample order, give the same bits at 1 and 2 threads. Each block
+    # builds only its own im2col rows.
     n, c_out, oh, ow = dout.shape
-    cols, _, _ = _im2col(x_in, pad)
     d = _nhwc(dout).reshape(n * oh * ow, c_out)
     rows = _WGRAD_BLOCK * oh * ow
-    dw = cols[:rows].T @ d[:rows]
-    for start in range(rows, n * oh * ow, rows):
-        dw += cols[start : start + rows].T @ d[start : start + rows]
+    cols, _, _ = _im2col(x_in[:_WGRAD_BLOCK], pad)
+    dw = cols.T @ d[:rows]
+    for start in range(_WGRAD_BLOCK, n, _WGRAD_BLOCK):
+        cols, _, _ = _im2col(x_in[start : start + _WGRAD_BLOCK], pad)
+        dw += cols.T @ d[start * oh * ow : start * oh * ow + rows]
     db = d.sum(axis=0)
     # the (C_out, C_in, 3, 3) view of dw's (ky, kx, c_in, c_out) memory, the
     # weights' own layout, so the optimizer's updates keep that layout too
@@ -329,6 +374,8 @@ def forward_masks(params: NetworkParams, x: np.ndarray, masks: np.ndarray) -> Fo
     ``masks[i]`` and keeps the open-cells channel. A 0/1 mask gives the
     bits of ``forward_boards`` with the coalition of its 1-cells revealed.
     """
+    if np.ndim(masks) != 3 or np.shape(masks)[1:] != (ROWS, COLS):
+        raise ShapeMismatch(f"expected masks of shape (n, {ROWS}, {COLS}), got {np.shape(masks)}")
     x = np.repeat(np.asarray(x, dtype=params.dtype)[None], len(masks), axis=0)
     x[:, 0] *= masks
     x[:, 1] *= masks

@@ -46,6 +46,24 @@ for dtype in (np.float32, np.float64):
 print(h.hexdigest())
 """
 
+# every conv layer's input gradient at C = 64
+INPUT_GRAD_SCRIPT = """
+import hashlib
+import numpy as np
+from c4xai import network
+h = hashlib.sha256()
+rng = np.random.default_rng(7)
+for dtype in (np.float32, np.float64):
+    in_hw = [(6, 7)] + list(network.CONV_HW[:-1])
+    for c_in, pad, (hh, ww) in zip((3, 64, 64, 64), network.CONV_PADS, in_hw):
+        oh, ow = hh + 2 * pad - 2, ww + 2 * pad - 2
+        w = rng.normal(size=(64, c_in, 3, 3)).astype(dtype)
+        for n in (13, 37, 100, 181):
+            d = rng.normal(size=(n, 64, oh, ow)).astype(dtype)
+            h.update(network.conv_input_backward(d, w, (hh, ww), pad).tobytes())
+print(h.hexdigest())
+"""
+
 
 def run_with_threads(script, threads):
     env = dict(os.environ)
@@ -58,7 +76,11 @@ def run_with_threads(script, threads):
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize("script", [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT], ids=["train", "weight_grad"])
+@pytest.mark.parametrize(
+    "script",
+    [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT, INPUT_GRAD_SCRIPT],
+    ids=["train", "weight_grad", "input_grad"],
+)
 def test_bits_do_not_depend_on_blas_threads(script):
     one, two = run_with_threads(script, 1), run_with_threads(script, 2)
     assert len(one) == 64

@@ -152,12 +152,91 @@ def test_conv_primitives_ignore_the_memory_layout(c_in, pad, hw, dtype):
     z = network.conv_forward(x, w, b, pad)
     assert z.shape == (n, c_out, oh, ow)
     assert np.array_equal(z, network.conv_forward(nhwc_backed(x), w, b, pad))
+    # im2col takes NCHW-contiguous memory (at pad 0 too) and batch slices
+    for view in (x, nhwc_backed(x), nhwc_backed(x)[1:], nhwc_backed(x)[::2], x[::2]):
+        cols, _, _ = network._im2col(view, pad)
+        assert_same_bits(cols, im2col_reference(view, pad))
+    assert_same_bits(
+        network.conv_forward(nhwc_backed(x)[::2], w, b, pad),
+        network.conv_forward(np.ascontiguousarray(x[::2]), w, b, pad),
+    )
     dx = network.conv_input_backward(d, w, hw, pad)
     assert dx.shape == x.shape
     assert np.array_equal(dx, network.conv_input_backward(nhwc_backed(d), w, hw, pad))
     dw, db = network._conv_param_backward(d, x, pad)
     dw_view, db_view = network._conv_param_backward(nhwc_backed(d), nhwc_backed(x), pad)
     assert np.array_equal(dw, dw_view) and np.array_equal(db, db_view)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def im2col_reference(x, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return win.transpose(0, 2, 3, 4, 5, 1).reshape(-1, 9 * x.shape[1])
+
+
+def input_grad_scatter(dout, w, in_hw, pad):
+    """The col2im conv_input_backward replaced: nine shifted += into zeros."""
+    n, c_out, oh, ow = dout.shape
+    c_in = w.shape[1]
+    d = network._nhwc(dout).reshape(n * oh * ow, c_out)
+    dcols = (d @ network._wmat(w).T).reshape(n, oh, ow, 9, c_in)
+    h, w_ = in_hw
+    dxp = np.zeros((n, h + 2 * pad, w_ + 2 * pad, c_in), dtype=dout.dtype)
+    for k in range(9):
+        ky, kx = divmod(k, 3)
+        dxp[:, ky : ky + oh, kx : kx + ow] += dcols[:, :, :, k]
+    return dxp[:, pad : pad + h, pad : pad + w_].transpose(0, 3, 1, 2)
+
+
+def weight_grad_whole_batch_im2col(dout, x_in, pad):
+    """The weight gradient that sliced one whole-batch im2col into its blocks."""
+    n, c_out, oh, ow = dout.shape
+    cols, _, _ = network._im2col(x_in, pad)
+    d = network._nhwc(dout).reshape(n * oh * ow, c_out)
+    rows = network._WGRAD_BLOCK * oh * ow
+    dw = cols[:rows].T @ d[:rows]
+    for start in range(rows, n * oh * ow, rows):
+        dw += cols[start : start + rows].T @ d[start : start + rows]
+    return dw.reshape(3, 3, x_in.shape[1], c_out).transpose(3, 2, 0, 1), d.sum(axis=0)
+
+
+# (signal dtype, weight dtype); lrp_eps sends a float64 signal through float32 weights
+SIGNAL_WEIGHT_DTYPES = [
+    (np.float32, np.float32),
+    (np.float64, np.float64),
+    (np.float64, np.float32),
+]
+BACKWARD_CASES = [(3, 1, (6, 7)), (3, 0, (6, 7)), (64, 1, (6, 7)), (64, 0, (6, 7)), (64, 0, (4, 5))]
+
+
+@pytest.mark.parametrize("d_dtype,w_dtype", SIGNAL_WEIGHT_DTYPES, ids=["f32", "f64", "lrp_mix"])
+@pytest.mark.parametrize("c_in,pad,hw", BACKWARD_CASES)
+def test_conv_backward_keeps_the_bits_of_the_reference(c_in, pad, hw, d_dtype, w_dtype):
+    rng = np.random.default_rng(c_in + pad + hw[0])
+    c_out = 64
+    oh, ow = hw[0] + 2 * pad - 2, hw[1] + 2 * pad - 2
+    w = rng.normal(size=(3, 3, c_in, c_out)).astype(w_dtype).transpose(3, 2, 0, 1)
+    for n in (1, 7, 8, 9, 17, 133):
+        # NHWC-backed, as backward passes them; zero samples and signed zeros
+        d = rng.normal(size=(n, oh, ow, c_out)).astype(d_dtype).transpose(0, 3, 1, 2)
+        d[rng.random(n) < 0.25] = 0.0
+        d[d < -1.0] = -0.0
+        x = np.maximum(rng.normal(size=(n,) + hw + (c_in,)), 0).astype(d_dtype)
+        x = x.transpose(0, 3, 1, 2)
+        assert_same_bits(
+            network.conv_input_backward(d, w, hw, pad), input_grad_scatter(d, w, hw, pad)
+        )
+        if d_dtype is w_dtype:
+            got = network._conv_param_backward(d, x, pad)
+            ref = weight_grad_whole_batch_im2col(d, x, pad)
+            for a, b in zip(got, ref):
+                assert_same_bits(a, b)
+                assert a.strides == b.strides
 
 
 def weight_grad_reference(d, x, pad):
@@ -494,6 +573,12 @@ def test_forward_masks_damps_only_the_colour_channels():
     got = network.forward_masks(params, x_full, masks)
     assert np.array_equal(got.x[:, :2], x_full[None, :2] * masks[:, None])
     assert np.array_equal(got.x[:, 2], np.broadcast_to(x_full[2], (3, 6, 7)))
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (3, 7, 6), (3, 6, 7, 1)])
+def test_forward_masks_rejects_malformed_masks(shape):
+    with pytest.raises(network.ShapeMismatch):
+        network.forward_masks(make_params(8, seed=39), random_input(40), np.ones(shape))
 
 
 def test_guided_relu_rule_masks_negative_upstream():

@@ -4,8 +4,8 @@
 ``CharacteristicFn.eval_mask`` spans for the charfn hit ratio, names a
 backward span by its ``want_param_grads`` keyword and reads the
 simulations of each ``mcts_search`` call from its ``config`` argument for
-``mcts.sims_per_s``. These tests import it read-only and pin those four
-assumptions.
+``mcts.sims_per_s``. These tests import it read-only and pin those
+assumptions, and how many conv input gradients each backward pass makes.
 """
 
 import importlib.util
@@ -59,6 +59,31 @@ def test_explainers_run_input_only_backward_passes(spans, case, method):
         attribution.piece_scores(method, *case, np.random.default_rng(0), opts={"iterations": 2})
     backwards = [n for n in span_names(tracer) if n.startswith("network.backward")]
     assert backwards and set(backwards) == {"network.backward_input"}
+
+
+# (call on (params, trace, board), conv_input_backward spans, conv_forward spans)
+BACKWARD_CALLS = {
+    "backward_params": (
+        lambda p, t, b: network.backward(p, t, np.ones((1, 7)), want_input_grad=False),
+        3,
+        0,
+    ),
+    "action_input_grad": (lambda p, t, b: network.action_input_grad(p, t, 2), 4, 0),
+    "lrp_eps": (lambda p, t, b: attribution.lrp_eps(p, b), 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", BACKWARD_CALLS)
+def test_backward_passes_reach_conv_input_backward_through_the_module(spans, case, name):
+    # keeps network.conv_input_backward.gflop comparable across kernel changes
+    call, input_backwards, forwards = BACKWARD_CALLS[name]
+    params, board = case
+    trace = network.forward_boards(params, [board])
+    with spans.Tracer() as tracer:
+        call(params, trace, board)
+    names = span_names(tracer)
+    assert names.count("network.conv_input_backward") == input_backwards
+    assert names.count("network.conv_forward") == forwards
 
 
 def test_benchmark_traces_one_search_per_search_move(spans):
