@@ -43,6 +43,10 @@ class EmptyPermutationClass(CharFnError):
     """No permutation position satisfies the predecessor-size floor."""
 
 
+class MaskOutOfRange(CharFnError):
+    """A coalition bitmask outside [0, 2^t): it names a player the ground set lacks."""
+
+
 class CharacteristicFn:
     """Set function over a fixed ground set, memoized by coalition bitmask.
 
@@ -98,13 +102,17 @@ class CharacteristicFn:
         return self.eval_mask(mask)
 
     def eval_mask(self, mask: int) -> float:
-        self.queries += 1
         hit = self._cache.get(mask)
-        if hit is not None:
+        if hit is None:
+            # only a miss is checked: the cache holds in-range masks alone
+            if not 0 <= mask < 1 << self.t:
+                raise MaskOutOfRange(f"coalition mask {mask} is outside [0, 2^{self.t})")
+            self._store([mask])
+            hit = self._cache[mask]
+        else:
             self.hits += 1
-            return hit
-        self._store([mask])
-        return self._cache[mask]
+        self.queries += 1
+        return hit
 
     def eval_masks(self, masks) -> np.ndarray:
         """Values of many coalition bitmasks, in query order.
@@ -114,7 +122,13 @@ class CharacteristicFn:
         network forward for nu_pol and nu_val), then every query of the
         block is read back through eval_mask.
         """
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1).tolist()
+        try:
+            masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        except OverflowError as exc:
+            raise MaskOutOfRange(f"coalition mask outside int64: {exc}") from exc
+        if masks.size and not (masks.min() >= 0 and int(masks.max()) >> self.t == 0):
+            raise MaskOutOfRange(f"coalition masks must lie in [0, 2^{self.t})")
+        masks = masks.tolist()
         out = np.empty(len(masks))
         for start in range(0, len(masks), BLOCK_ROWS):
             block = masks[start : start + BLOCK_ROWS]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import attribution, engine, mcts, network
+from . import __version__, attribution, engine, mcts, network
 from .csvio import write_csv
 
 
@@ -375,8 +377,21 @@ def write_sidecar(
     config_obj=None,
 ) -> str:
     """JSON sidecar naming the producing command, seed, and content
-    hashes of the checkpoint and config used."""
+    hashes of the checkpoint and config used.
+
+    It also records the c4xai, Python, numpy and BLAS versions and the
+    BLAS thread variables (null when unset): which BLAS build runs, and
+    how, decides the low bits of every network output.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     meta = {
+        "c4xai_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "command": list(command),
         "seed": seed,
         "checkpoint_sha256": network.file_sha256(checkpoint_path) if checkpoint_path else None,

@@ -25,7 +25,9 @@ the batch, so training gives the same bits at any BLAS thread count
 (see ``_conv_param_backward``). The input gradient's col2im gathers the
 GEMM's rows through a cached index table and sums each input cell's
 nine kernel offsets in offset order, 8 samples at a time (see
-``conv_input_backward``).
+``conv_input_backward``). ``forward_masks`` on 0/1 masks runs conv2's
+GEMM once per distinct output cell and 5x5 input window, where that
+keeps every bit (see ``_shared_conv2_rows``).
 """
 
 from __future__ import annotations
@@ -203,8 +205,8 @@ def _wmat(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
-def _im2col(x: np.ndarray, pad: int):
-    """(n * OH * OW, 9 C_in) patch rows of an NCHW-shaped input, K in (ky, kx, c_in) order."""
+def _windows(x: np.ndarray, pad: int) -> np.ndarray:
+    """(n, OH, OW, 3, 3, C_in) view of the 3x3 windows of an NCHW-shaped input."""
     n, c_in, h, w = x.shape
     if pad:
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), dtype=x.dtype)
@@ -213,11 +215,17 @@ def _im2col(x: np.ndarray, pad: int):
         xp = np.ascontiguousarray(_nhwc(x))
     oh, ow = xp.shape[1] - 2, xp.shape[2] - 2
     s0, s1, s2, s3 = xp.strides
-    # one copy of the (n, OH, OW, ky, kx, c_in) window view: each (kx, c_in)
-    # run of the NHWC buffer is contiguous, so rows are copied 3 C_in at a
-    # time. np.ndarray on the buffer is cheaper to call than as_strided, and
-    # the weight gradient calls this once per block of samples.
-    win = np.ndarray((n, oh, ow, 3, 3, c_in), xp.dtype, xp, strides=(s0, s1, s2, s1, s2, s3))
+    # np.ndarray on the buffer is cheaper to call than as_strided, and the
+    # weight gradient calls this once per block of samples
+    return np.ndarray((n, oh, ow, 3, 3, c_in), xp.dtype, xp, strides=(s0, s1, s2, s1, s2, s3))
+
+
+def _im2col(x: np.ndarray, pad: int):
+    """(n * OH * OW, 9 C_in) patch rows of an NCHW-shaped input, K in (ky, kx, c_in) order."""
+    win = _windows(x, pad)
+    n, oh, ow, _, _, c_in = win.shape
+    # one copy of the window view: each (kx, c_in) run of the NHWC buffer
+    # is contiguous, so rows are copied 3 C_in at a time
     return win.reshape(n * oh * ow, 9 * c_in), oh, ow
 
 
@@ -227,6 +235,70 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     if b is not None:
         out += b
     return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
+
+
+# Below this M * K * N, OpenBLAS (scipy-openblas 0.3.31, 1 thread) rounds a
+# row of an sgemm or dgemm differently from the same row of a larger GEMM;
+# above it, rows keep their bits whatever M is. So shared rows are used
+# only when their GEMM stays above it.
+_ROW_EXACT_GEMM_WORK = 10**6
+
+
+@lru_cache(maxsize=None)
+def _window_table(h: int, w: int):
+    """Window bitmasks and cell tags of an H x W grid, each (H * W,) int64.
+
+    Bit j of a cell's window is set when cell j (row-major) is within 2
+    rows and columns of it: the 5x5 input window that a padded 3x3 conv
+    of a padded 3x3 conv reads. Its tag is its own index shifted above
+    bit H * W, so keys of different cells never collide.
+    """
+    y, x = np.divmod(np.arange(h * w), w)
+    near = (abs(y[:, None] - y) <= 2) & (abs(x[:, None] - x) <= 2)
+    table = (near.astype(np.int64) << np.arange(h * w)).sum(axis=1)
+    tags = np.arange(h * w, dtype=np.int64) << (h * w)
+    table.flags.writeable = tags.flags.writeable = False
+    return table, tags
+
+
+def _shared_conv2_rows(masks: np.ndarray, c: int):
+    """(first, inverse) for conv2's GEMM under 0/1 ``masks``, or None.
+
+    conv2's output at a cell depends on the board only through the 5x5
+    input window around it, so two rows whose masks agree on that window
+    get the same conv2 output there. ``first`` holds one flat (sample, y,
+    x) index per distinct (cell, window bits) key and ``inverse`` maps
+    every output row to its key. None when a mask holds anything but 0
+    and 1 or the shared GEMM would fall below _ROW_EXACT_GEMM_WORK.
+    """
+    n = len(masks)
+    per_row = 9 * c * c
+    if n < 2 or n * ROWS * COLS * per_row <= _ROW_EXACT_GEMM_WORK:
+        return None
+    flat = masks.reshape(n, ROWS * COLS)
+    one = flat == 1
+    # byte equality also turns away -0.0, which masks a cell to other bits than 0.0
+    if one.astype(flat.dtype).tobytes() != flat.tobytes():
+        return None
+    bits = (one.astype(np.int64) << np.arange(ROWS * COLS)).sum(axis=1)
+    table, tags = _window_table(ROWS, COLS)
+    keys = (bits[:, None] & table) | tags
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    if len(first) * per_row <= _ROW_EXACT_GEMM_WORK:
+        return None
+    return first, inverse
+
+
+def _conv_shared(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, first, inverse) -> np.ndarray:
+    """``conv_forward(x, w, b, pad)`` from one GEMM row per entry of
+    ``first``: the GEMM runs through conv_forward on those windows alone
+    (pad 0, 1x1 output), and ``inverse`` gathers its rows back."""
+    win = _windows(x, pad)
+    n, oh, ow, _, _, c_in = win.shape
+    patches = win[np.unravel_index(first, (n, oh, ow))]
+    z = conv_forward(patches.transpose(0, 3, 1, 2), w, b, 0)
+    rows = _nhwc(z).reshape(len(first), -1)
+    return rows[inverse].reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -305,8 +377,12 @@ def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    """Run the network; returns a trace with a leading batch axis."""
+def forward(params: NetworkParams, x: np.ndarray, *, conv2_rows=None) -> ForwardTrace:
+    """Run the network; returns a trace with a leading batch axis.
+
+    ``conv2_rows`` is ``forward_masks``' (first, inverse) row sharing for
+    conv2 (see ``_shared_conv2_rows``); it changes no bit of the trace.
+    """
     x = np.asarray(x, dtype=params.dtype)
     if x.ndim == 3:
         x = x[None]
@@ -318,7 +394,11 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     a = x
     conv_z, conv_a = [], []
     for i, pad in enumerate(CONV_PADS, start=1):
-        z = conv_forward(a, t[f"conv{i}_w"], t[f"conv{i}_b"], pad)
+        w, b = t[f"conv{i}_w"], t[f"conv{i}_b"]
+        if i == 2 and conv2_rows is not None:
+            z = _conv_shared(a, w, b, pad, *conv2_rows)
+        else:
+            z = conv_forward(a, w, b, pad)
         a = np.maximum(z, 0.0)
         conv_z.append(z)
         conv_a.append(a)
@@ -373,13 +453,21 @@ def forward_masks(params: NetworkParams, x: np.ndarray, masks: np.ndarray) -> Fo
     leaves it in ``trace.x``. Row i multiplies its two colour channels by
     ``masks[i]`` and keeps the open-cells channel. A 0/1 mask gives the
     bits of ``forward_boards`` with the coalition of its 1-cells revealed.
+
+    When every mask is 0/1, conv2's GEMM runs once per distinct (cell,
+    mask bits of its 5x5 input window) and its rows are gathered back, so
+    the trace keeps its bits; see ``_shared_conv2_rows`` for when.
     """
     if np.ndim(masks) != 3 or np.shape(masks)[1:] != (ROWS, COLS):
         raise ShapeMismatch(f"expected masks of shape (n, {ROWS}, {COLS}), got {np.shape(masks)}")
+    masks = np.asarray(masks)
     x = np.repeat(np.asarray(x, dtype=params.dtype)[None], len(masks), axis=0)
     x[:, 0] *= masks
     x[:, 1] *= masks
-    return forward(params, x)
+    shared = _shared_conv2_rows(masks, params.arch.conv_channels)
+    if shared is None:
+        return forward(params, x)
+    return forward(params, x, conv2_rows=shared)
 
 
 def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:

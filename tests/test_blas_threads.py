@@ -1,4 +1,4 @@
-"""Training bits that must not depend on the BLAS thread count.
+"""Training and explanation bits that must not depend on the BLAS thread count.
 
 Each check runs the same script in two fresh interpreters, one with
 OpenBLAS/OpenMP pinned to 1 thread and one to 2 (the variables are read
@@ -64,6 +64,26 @@ for dtype in (np.float32, np.float64):
 print(h.hexdigest())
 """
 
+# partial Shapley on nu_pol at C = 64: the masked forwards share conv2
+# rows, so their GEMMs have fewer rows than the blocks
+SHAPLEY_SCRIPT = """
+import hashlib
+import numpy as np
+from c4xai import charfn, engine, network
+h = hashlib.sha256()
+params = network.init(network.ArchDescriptor(64), np.random.default_rng(11))
+for t in (8, 26):
+    rng = np.random.default_rng(t)
+    board = engine.new_board()
+    while board.turn < t:
+        board = engine.apply_move(board, int(rng.choice(board.legal_moves())))
+        if engine.outcome(board).is_terminal:
+            board = engine.new_board()
+    res = charfn.partial_shapley(charfn.nu_pol(params, board), 0.5, 185, np.random.default_rng(t))
+    h.update(res.values.tobytes())
+print(h.hexdigest())
+"""
+
 
 def run_with_threads(script, threads):
     env = dict(os.environ)
@@ -78,8 +98,8 @@ def run_with_threads(script, threads):
 
 @pytest.mark.parametrize(
     "script",
-    [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT, INPUT_GRAD_SCRIPT],
-    ids=["train", "weight_grad", "input_grad"],
+    [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT, INPUT_GRAD_SCRIPT, SHAPLEY_SCRIPT],
+    ids=["train", "weight_grad", "input_grad", "shapley"],
 )
 def test_bits_do_not_depend_on_blas_threads(script):
     one, two = run_with_threads(script, 1), run_with_threads(script, 2)

@@ -262,6 +262,19 @@ def test_nu_val_range():
     assert -1.0 <= nu(()) <= 1.0
 
 
+def test_masks_outside_the_ground_set_are_rejected():
+    nu, _, _ = make_net_game(4)
+    assert nu.t == 4
+    for mask in (1 << 4, -1):
+        with pytest.raises(charfn.MaskOutOfRange):
+            nu.eval_mask(mask)
+    for masks in ([2**63], [0, 1 << 4], [3, -1]):
+        with pytest.raises(charfn.MaskOutOfRange):
+            nu.eval_masks(masks)
+    assert (nu.queries, nu.hits, nu.batches, nu._cache) == (0, 0, 0, {})
+    assert nu.eval_masks([15, 0]).tolist() == [nu.eval_mask(15), nu.eval_mask(0)]
+
+
 def test_nu_rejects_terminal_board():
     rng = np.random.default_rng(23)
     params = network.init(network.ArchDescriptor(8), rng, dtype=np.float64)

@@ -7,10 +7,12 @@ bit-exact reproducibility across reruns and worker counts.
 """
 
 import json
+import platform
 
 import numpy as np
 import pytest
 
+import c4xai
 from c4xai import attribution, engine, harness, network
 
 
@@ -292,6 +294,19 @@ class TestSidecar:
         assert meta["seed"] == 7
         assert meta["checkpoint_sha256"] == network.file_sha256(ckpt)
         assert len(meta["config_sha256"]) == 64
+
+    def test_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        csv_path = tmp_path / "out.csv"
+        csv_path.write_text("x\n")
+        meta = json.loads(open(harness.write_sidecar(csv_path, ["c4xai"], seed=None)).read())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["c4xai_version"] == c4xai.__version__
+        assert meta["python_version"] == platform.python_version()
+        assert meta["numpy_version"] == np.__version__
+        assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
+        assert (meta["OPENBLAS_NUM_THREADS"], meta["OMP_NUM_THREADS"]) == ("1", None)
 
     def test_absent_inputs_hash_to_null(self, tmp_path):
         csv_path = tmp_path / "out.csv"

@@ -566,6 +566,71 @@ def test_forward_masks_on_coalition_grids_is_forward_boards(dtype, t):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
+def trace_arrays(trace):
+    return [
+        trace.x, *trace.conv_z, *trace.conv_a, trace.flat, *trace.fc_z, *trace.fc_a,
+        trace.policy_logits, trace.policy, trace.value_pre, trace.value,
+    ]  # fmt: skip
+
+
+def coalition_grids(board, n, rng, dtype=np.float64):
+    """n random 0/1 grids on the occupied cells of ``board``, each with its own density."""
+    rows, cols = np.array(board.occupied_cells()).T
+    grids = np.zeros((n, 6, 7), dtype=dtype)
+    grids[:, rows, cols] = rng.random((n, len(rows))) < rng.random((n, 1))
+    return grids
+
+
+def distinct_conv2_windows(masks):
+    """(cell, mask bits of the 5x5 input window around it) keys, by brute force."""
+    return {
+        (y, x, masks[r, max(y - 2, 0) : y + 3, max(x - 2, 0) : x + 3].tobytes())
+        for r in range(len(masks))
+        for y in range(6)
+        for x in range(7)
+    }
+
+
+@pytest.mark.parametrize("t", [8, 17, 26])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [8, 16, 64])
+def test_shared_conv2_rows_keep_every_bit_of_the_trace(channels, dtype, t):
+    params = make_params(channels, seed=channels + t, dtype=dtype)
+    board = ongoing_board(t, seed=t)
+    x_full = network.forward_boards(params, [board]).x[0]
+    rng = np.random.default_rng(t)
+    shared = []
+    for n in (2, 7, 8, 9, 40, 64):
+        grids = coalition_grids(board, n, rng, dtype)
+        x = np.repeat(x_full[None], n, axis=0)
+        x[:, :2] *= grids[:, None]
+        got = network.forward_masks(params, x_full, grids)
+        ref = network.forward(params, x)
+        for a, b in zip(trace_arrays(got), trace_arrays(ref), strict=True):
+            assert np.array_equal(a, b)
+        plan = network._shared_conv2_rows(grids, channels)
+        if plan is not None:
+            shared.append(n)
+            assert len(plan[0]) == len(distinct_conv2_windows(grids)) < n * 42
+    # rows are shared only in GEMMs above 10^6 multiply-adds: at C = 64
+    # from 28 distinct rows, at C = 16 from 435
+    if channels == 64:
+        assert shared == [2, 7, 8, 9, 40, 64]
+    elif channels == 16:
+        assert 64 in shared
+
+
+def test_fractional_and_single_masks_share_no_rows():
+    board = ongoing_board(17, seed=17)
+    grids = coalition_grids(board, 64, np.random.default_rng(3))
+    assert network._shared_conv2_rows(grids, 64) is not None
+    assert network._shared_conv2_rows(grids[:1], 64) is None
+    for odd in (0.5, -0.0):
+        changed = grids.copy()
+        changed[5, 0, 0] = odd
+        assert network._shared_conv2_rows(changed, 64) is None
+
+
 def test_forward_masks_damps_only_the_colour_channels():
     params = make_params(8, seed=39)
     x_full = random_input(40)

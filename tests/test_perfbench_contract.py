@@ -5,7 +5,9 @@
 backward span by its ``want_param_grads`` keyword and reads the
 simulations of each ``mcts_search`` call from its ``config`` argument for
 ``mcts.sims_per_s``. These tests import it read-only and pin those
-assumptions, and how many conv input gradients each backward pass makes.
+assumptions, how many conv input gradients each backward pass makes and
+that a masked forward's shared conv2 rows still pass through
+``network.conv_forward``.
 """
 
 import importlib.util
@@ -84,6 +86,31 @@ def test_backward_passes_reach_conv_input_backward_through_the_module(spans, cas
     names = span_names(tracer)
     assert names.count("network.conv_input_backward") == input_backwards
     assert names.count("network.conv_forward") == forwards
+
+
+def test_shared_conv2_gemm_is_a_conv_forward_span_of_its_distinct_rows(spans):
+    # network.conv_forward.gflop on explain then counts the work saved
+    params = network.init(network.ArchDescriptor(64), np.random.default_rng(9))
+    board = engine.replay([3, 3, 4, 2, 5, 1, 0, 6, 2, 4])
+    cells = np.array(board.occupied_cells())
+    grids = np.zeros((64, 6, 7), dtype=np.float32)
+    grids[:, cells[:, 0], cells[:, 1]] = np.random.default_rng(10).random((64, len(cells))) < 0.5
+    distinct = {
+        (y, x, grids[r, max(y - 2, 0) : y + 3, max(x - 2, 0) : x + 3].tobytes())
+        for r in range(64)
+        for y in range(6)
+        for x in range(7)
+    }
+    assert len(distinct) < 64 * 42
+    x_full = network.forward_boards(params, [board]).x[0]
+    with spans.Tracer() as tracer:
+        network.forward_masks(params, x_full, grids)
+    names = span_names(tracer)
+    convs = [i for i, name in enumerate(names) if name == "network.conv_forward"]
+    assert len(convs) == 4
+    assert {names[tracer.parent[i]] for i in convs} == {"network.forward_bn"}
+    assert tracer.qty[convs[1]] == 2.0 * len(distinct) * 64 * 64 * 9
+    assert tracer.qty[convs[0]] == 2.0 * 64 * 42 * 64 * 3 * 9
 
 
 def test_benchmark_traces_one_search_per_search_move(spans):
