@@ -104,9 +104,11 @@ class CharacteristicFn:
     def eval_mask(self, mask: int) -> float:
         hit = self._cache.get(mask)
         if hit is None:
-            # only a miss is checked: the cache holds in-range masks alone
-            if not 0 <= mask < 1 << self.t:
-                raise MaskOutOfRange(f"coalition mask {mask} is outside [0, 2^{self.t})")
+            # only a miss is checked: the cache holds in-range integer masks alone
+            if not (isinstance(mask, (int, np.integer)) and 0 <= mask < 1 << self.t):
+                raise MaskOutOfRange(
+                    f"coalition mask {mask!r} is not an integer in [0, 2^{self.t})"
+                )
             self._store([mask])
             hit = self._cache[mask]
         else:
@@ -122,13 +124,13 @@ class CharacteristicFn:
         network forward for nu_pol and nu_val), then every query of the
         block is read back through eval_mask.
         """
-        try:
-            masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        except OverflowError as exc:
-            raise MaskOutOfRange(f"coalition mask outside int64: {exc}") from exc
-        if masks.size and not (masks.min() >= 0 and int(masks.max()) >> self.t == 0):
-            raise MaskOutOfRange(f"coalition masks must lie in [0, 2^{self.t})")
-        masks = masks.tolist()
+        masks = np.asarray(masks).reshape(-1)
+        # an empty list reads as float64; Python ints past uint64 as objects
+        if masks.size and not (
+            masks.dtype.kind in "biu" and masks.min() >= 0 and int(masks.max()) >> self.t == 0
+        ):
+            raise MaskOutOfRange(f"coalition masks must be integers in [0, 2^{self.t})")
+        masks = masks.astype(np.int64).tolist()
         out = np.empty(len(masks))
         for start in range(0, len(masks), BLOCK_ROWS):
             block = masks[start : start + BLOCK_ROWS]
@@ -375,9 +377,10 @@ class QueryLog:
         return self._nu.t
 
     def eval_masks(self, masks) -> np.ndarray:
+        values = self._nu.eval_masks(masks)
         masks = np.asarray(masks, dtype=np.int64).reshape(-1)
         self.sizes.extend(bin(m).count("1") for m in masks.tolist())
-        return self._nu.eval_masks(masks)
+        return values
 
     @property
     def min_size(self) -> int:

@@ -13,7 +13,11 @@ net, and ``backward`` differentiates exactly (ReLU subgradient 0 at 0).
 
 The conv layers compute on channels-last (NHWC) memory: im2col copies
 3x3 patches into rows ordered (ky, kx, c_in), and the forward, input
-gradient and weight gradient are each a 2-D GEMM over those rows.
+gradient and weight gradient are 2-D GEMMs over those rows. The forward
+and the input gradient run one GEMM over a batch whose rows fit in
+_CHUNK_BYTES (4 MB), and a larger batch one GEMM per chunk of whole
+samples into one preallocated result, with the same bits (see
+``_sample_chunks``), so no layer holds the whole batch's rows at once.
 Arguments and results keep the NCHW shape (n, C, H, W); a conv result
 is the ``transpose(0, 3, 1, 2)`` view of its NHWC buffer, so passing it
 on to the next layer costs no copy. Conv weights likewise keep the
@@ -190,6 +194,9 @@ def init(arch: ArchDescriptor, rng: np.random.Generator, dtype=np.float32) -> Ne
 # samples per partial product of the weight gradient (see _conv_param_backward)
 # and per col2im gather of the input gradient (see conv_input_backward)
 _WGRAD_BLOCK = 8
+# bytes of im2col rows (conv_forward) or dcols rows (conv_input_backward)
+# that a large batch builds at once (see _sample_chunks)
+_CHUNK_BYTES = 4 << 20
 
 
 def _nhwc(a: np.ndarray) -> np.ndarray:
@@ -229,19 +236,55 @@ def _im2col(x: np.ndarray, pad: int):
     return win.reshape(n * oh * ow, 9 * c_in), oh, ow
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int) -> np.ndarray:
-    cols, oh, ow = _im2col(x, pad)
-    out = cols @ _wmat(w)
-    if b is not None:
-        out += b
-    return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-
-
 # Below this M * K * N, OpenBLAS (scipy-openblas 0.3.31, 1 thread) rounds a
 # row of an sgemm or dgemm differently from the same row of a larger GEMM;
-# above it, rows keep their bits whatever M is. So shared rows are used
-# only when their GEMM stays above it.
+# above it, rows keep their bits whatever M is. So a GEMM is split, or its
+# rows shared, only when every GEMM that results stays above it.
 _ROW_EXACT_GEMM_WORK = 10**6
+
+
+def _sample_chunks(n: int, sample_bytes: int, sample_work: int) -> list:
+    """(start, end) sample ranges of the chunks a conv GEMM of ``n`` samples runs in.
+
+    A chunk is the largest multiple of _WGRAD_BLOCK samples whose rows
+    (``sample_bytes`` each sample) fit in _CHUNK_BYTES, and at least
+    _WGRAD_BLOCK samples. Every chunk's GEMM (``sample_work`` multiply-adds
+    each sample) must stay above _ROW_EXACT_GEMM_WORK for its rows to keep
+    the whole-batch bits, so a tail at or below it joins the chunk before
+    it, and chunks at or below it give one GEMM over the batch.
+    """
+    size = max(_WGRAD_BLOCK, _CHUNK_BYTES // sample_bytes // _WGRAD_BLOCK * _WGRAD_BLOCK)
+    if n <= size or size * sample_work <= _ROW_EXACT_GEMM_WORK:
+        return [(0, n)]
+    starts = list(range(0, n, size))
+    if (n - starts[-1]) * sample_work <= _ROW_EXACT_GEMM_WORK:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int) -> np.ndarray:
+    """3x3 stride-1 conv of an NCHW-shaped batch, as NCHW-shaped NHWC memory.
+
+    A batch whose im2col rows fit in _CHUNK_BYTES is one GEMM over them.
+    A larger one builds its rows per chunk of samples (see _sample_chunks)
+    and writes each chunk's GEMM into its rows of the result, which gives
+    the same bits without a copy of the whole batch's rows.
+    """
+    n, c_in, h, w_ = x.shape
+    oh, ow = h + 2 * pad - 2, w_ + 2 * pad - 2
+    sample_bytes = oh * ow * 9 * c_in * x.itemsize
+    if n * sample_bytes <= _CHUNK_BYTES:
+        cols, _, _ = _im2col(x, pad)
+        out = cols @ _wmat(w)
+    else:
+        wmat = _wmat(w)
+        out = np.empty((n * oh * ow, w.shape[0]), dtype=np.result_type(x, w))
+        for start, end in _sample_chunks(n, sample_bytes, oh * ow * wmat.size):
+            # no name holds a chunk's rows, so they are freed before the next chunk's
+            np.matmul(_im2col(x[start:end], pad)[0], wmat, out=out[start * oh * ow : end * oh * ow])
+    if b is not None:
+        out += b
+    return out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -282,10 +325,19 @@ def _shared_conv2_rows(masks: np.ndarray, c: int):
         return None
     bits = (one.astype(np.int64) << np.arange(ROWS * COLS)).sum(axis=1)
     table, tags = _window_table(ROWS, COLS)
-    keys = (bits[:, None] & table) | tags
-    _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    keys = ((bits[:, None] & table) | tags).reshape(-1)
+    # np.unique(keys, return_index=True, return_inverse=True) from one
+    # stable sort: ``first`` is each key's first row, in key order
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]
     if len(first) * per_row <= _ROW_EXACT_GEMM_WORK:
         return None
+    inverse = np.empty_like(order)
+    inverse[order] = new.astype(np.intp).cumsum() - 1
     return first, inverse
 
 
@@ -325,30 +377,43 @@ def _col2im_index(oh: int, ow: int, pad: int) -> np.ndarray:
 def conv_input_backward(dout: np.ndarray, w: np.ndarray, in_hw: tuple, pad: int) -> np.ndarray:
     """Gradient w.r.t. the conv input (a transposed convolution).
 
-    col2im is one gather of dcols rows per block of _WGRAD_BLOCK samples
-    and an add.reduce over the kernel offsets. Reducing a non-innermost
-    axis adds each cell's terms in offset order starting from +0, as nine
-    shifted ``+=`` into a zeroed buffer do; an offset that reaches no
-    output cell gathers the zero row, and adding +0 to a sum that starts
-    at +0 never changes it.
+    The dcols GEMM runs once for a batch whose rows fit in _CHUNK_BYTES,
+    else once per chunk of samples (see _sample_chunks) into one
+    chunk-sized row buffer, which gives the same bits. col2im is one
+    gather of dcols rows per block of _WGRAD_BLOCK samples and an
+    add.reduce over the kernel offsets. Reducing a non-innermost axis adds
+    each cell's terms in offset order starting from +0, as nine shifted
+    ``+=`` into a zeroed buffer do; an offset that reaches no output cell
+    gathers the zero row, and adding +0 to a sum that starts at +0 never
+    changes it.
     """
     n, c_out, oh, ow = dout.shape
     c_in = w.shape[1]
     h, w_ = in_hw
     per_sample = oh * ow * 9
+    sample_bytes = per_sample * c_in * dout.itemsize
+    if n * sample_bytes <= _CHUNK_BYTES:
+        chunks, chunk = ((0, n),), n
+    else:
+        chunks = _sample_chunks(n, sample_bytes, per_sample * c_in * c_out)
+        chunk = max(end - start for start, end in chunks)
     # the result before the transient rows: in that order a batch-64
     # backward grows the heap less (play peak_rss_mb 56.0 MB, not 58.6)
     dx = np.empty((n, h * w_, c_in), dtype=dout.dtype)
-    # dcols as (C_in,)-rows in (sample, oy, ox, k) order, then one zero row
-    rows = np.empty((n * per_sample + 1, c_in), dtype=dout.dtype)
-    d = _nhwc(dout).reshape(n * oh * ow, c_out)
-    np.matmul(d, _wmat(w).T, out=rows[:-1].reshape(n * oh * ow, 9 * c_in))
+    # a chunk's dcols as (C_in,)-rows in (sample, oy, ox, k) order, then
+    # one zero row, which index -1 of every gather below reaches
+    rows = np.empty((chunk * per_sample + 1, c_in), dtype=dout.dtype)
     rows[-1] = 0
+    d = _nhwc(dout).reshape(n * oh * ow, c_out)
+    wmat_t = _wmat(w).T
     idx = _col2im_index(oh, ow, pad)
-    # per block, so the gathered terms (9 times the result) stay small
-    for start in range(0, n, _WGRAD_BLOCK):
-        terms = rows[start * per_sample :].take(idx[: n - start], axis=0)
-        np.add.reduce(terms, axis=1, initial=0.0, out=dx[start : start + _WGRAD_BLOCK])
+    for start, end in chunks:
+        dcols = rows[: (end - start) * per_sample].reshape(-1, 9 * c_in)
+        np.matmul(d[start * oh * ow : end * oh * ow], wmat_t, out=dcols)
+        # per block, so the gathered terms (9 times the result) stay small
+        for block in range(start, end, _WGRAD_BLOCK):
+            terms = rows[(block - start) * per_sample :].take(idx[: end - block], axis=0)
+            np.add.reduce(terms, axis=1, initial=0.0, out=dx[block : block + _WGRAD_BLOCK])
     return dx.reshape(n, h, w_, c_in).transpose(0, 3, 1, 2)
 
 

@@ -46,6 +46,25 @@ for dtype in (np.float32, np.float64):
 print(h.hexdigest())
 """
 
+# every conv layer's forward at C = 64; batches whose im2col rows pass
+# network._CHUNK_BYTES run one GEMM per chunk of samples
+FORWARD_SCRIPT = """
+import hashlib
+import numpy as np
+from c4xai import network
+h = hashlib.sha256()
+rng = np.random.default_rng(9)
+for dtype in (np.float32, np.float64):
+    in_hw = [(6, 7)] + list(network.CONV_HW[:-1])
+    for c_in, pad, (hh, ww) in zip((3, 64, 64, 64), network.CONV_PADS, in_hw):
+        w = rng.normal(size=(64, c_in, 3, 3)).astype(dtype)
+        b = rng.normal(size=64).astype(dtype)
+        for n in (13, 37, 100, 181):
+            x = rng.normal(size=(n, c_in, hh, ww)).astype(dtype)
+            h.update(network.conv_forward(x, w, b, pad).tobytes())
+print(h.hexdigest())
+"""
+
 # every conv layer's input gradient at C = 64
 INPUT_GRAD_SCRIPT = """
 import hashlib
@@ -98,8 +117,8 @@ def run_with_threads(script, threads):
 
 @pytest.mark.parametrize(
     "script",
-    [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT, INPUT_GRAD_SCRIPT, SHAPLEY_SCRIPT],
-    ids=["train", "weight_grad", "input_grad", "shapley"],
+    [TRAIN_SCRIPT, WEIGHT_GRAD_SCRIPT, FORWARD_SCRIPT, INPUT_GRAD_SCRIPT, SHAPLEY_SCRIPT],
+    ids=["train", "weight_grad", "forward", "input_grad", "shapley"],
 )
 def test_bits_do_not_depend_on_blas_threads(script):
     one, two = run_with_threads(script, 1), run_with_threads(script, 2)

@@ -275,6 +275,24 @@ def test_masks_outside_the_ground_set_are_rejected():
     assert nu.eval_masks([15, 0]).tolist() == [nu.eval_mask(15), nu.eval_mask(0)]
 
 
+def test_non_integer_masks_are_rejected():
+    nu, _, _ = make_net_game(4)
+    value = nu.eval_mask(1)
+    batches = nu.batches
+    # 1.5 and 2.7 lie in [0, 2^t) but name no coalition; no value is cached for them
+    for mask in (1.5, 2.7, np.float64(3.0), "1"):
+        with pytest.raises(charfn.MaskOutOfRange):
+            nu.eval_mask(mask)
+    for masks in ([2.7], [1, 0.5], np.array([3.0]), ["1"], [2**70]):
+        with pytest.raises(charfn.MaskOutOfRange):
+            nu.eval_masks(masks)
+    assert (nu.batches, list(nu._cache)) == (batches, [1])
+    # integer types of any width still name coalitions, and the empty query is fine
+    assert nu.eval_mask(np.int32(1)) == value
+    assert nu.eval_masks(np.array([1], dtype=np.uint8)).tolist() == [value]
+    assert nu.eval_masks([]).size == 0
+
+
 def test_nu_rejects_terminal_board():
     rng = np.random.default_rng(23)
     params = network.init(network.ArchDescriptor(8), rng, dtype=np.float64)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,112 @@ def test_conv_backward_keeps_the_bits_of_the_reference(c_in, pad, hw, d_dtype, w
             for a, b in zip(got, ref):
                 assert_same_bits(a, b)
                 assert a.strides == b.strides
+
+
+# (c_in as a multiple of C, pad, input H, W): conv1 to conv4 of a C-channel net
+LAYERS = [(0, 1, (6, 7)), (1, 1, (6, 7)), (1, 0, (6, 7)), (1, 0, (4, 5))]
+CHUNK_BATCHES = (1, 13, 47, 48, 49, 100, 196)
+
+
+def conv_forward_one_gemm(x, w, b, pad):
+    """conv_forward as one GEMM over the whole batch's im2col rows."""
+    cols, oh, ow = network._im2col(x, pad)
+    out = cols @ network._wmat(w)
+    out += b
+    return out.reshape(x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
+
+
+def input_grad_one_gemm(dout, w, in_hw, pad):
+    """conv_input_backward as one dcols GEMM over the whole batch plus the
+    _col2im_index gather, 8 samples at a time."""
+    n, c_out, oh, ow = dout.shape
+    c_in = w.shape[1]
+    per_sample = oh * ow * 9
+    d = network._nhwc(dout).reshape(n * oh * ow, c_out)
+    rows = np.concatenate([d @ network._wmat(w).T, np.zeros((1, 9 * c_in), d.dtype)])
+    rows = rows.reshape(-1, c_in)[: n * per_sample + 1]
+    idx = network._col2im_index(oh, ow, pad)
+    dx = np.empty((n, in_hw[0] * in_hw[1], c_in), dtype=dout.dtype)
+    for start in range(0, n, network._WGRAD_BLOCK):
+        terms = rows[start * per_sample :].take(idx[: n - start], axis=0)
+        np.add.reduce(terms, axis=1, initial=0.0, out=dx[start : start + network._WGRAD_BLOCK])
+    return dx.reshape(n, *in_hw, c_in).transpose(0, 3, 1, 2)
+
+
+def layer_shapes(layer, c):
+    c_in_mult, pad, hw = LAYERS[layer]
+    c_in = c * c_in_mult or network.IN_CHANNELS
+    return c_in, pad, hw, (hw[0] + 2 * pad - 2, hw[1] + 2 * pad - 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [8, 64])
+@pytest.mark.parametrize("layer", range(4))
+def test_chunked_conv_gemms_keep_the_bits_of_one_gemm(layer, c, dtype):
+    c_in, pad, hw, (oh, ow) = layer_shapes(layer, c)
+    rng = np.random.default_rng(100 * layer + c)
+    w = rng.normal(size=(3, 3, c_in, c)).astype(dtype).transpose(3, 2, 0, 1)
+    b = rng.normal(size=c).astype(dtype)
+    for n in CHUNK_BATCHES:
+        # NHWC-backed, as forward and backward pass them
+        x = rng.normal(size=(n,) + hw + (c_in,)).astype(dtype).transpose(0, 3, 1, 2)
+        d = rng.normal(size=(n, oh, ow, c)).astype(dtype).transpose(0, 3, 1, 2)
+        assert_same_bits(network.conv_forward(x, w, b, pad), conv_forward_one_gemm(x, w, b, pad))
+        assert_same_bits(
+            network.conv_input_backward(d, w, hw, pad), input_grad_one_gemm(d, w, hw, pad)
+        )
+
+
+def test_chunk_plans_cover_one_many_and_merged_tail_chunks():
+    # the plans the bit test above runs: every chunk but the last is a
+    # multiple of 8 samples within the budget, every split GEMM stays above
+    # the bit bound, and all three kinds of plan occur
+    budget, bound = network._CHUNK_BYTES, network._ROW_EXACT_GEMM_WORK
+    kinds = set()
+    for layer in range(4):
+        for c in (8, 64):
+            c_in, _, _, (oh, ow) = layer_shapes(layer, c)
+            for itemsize in (4, 8):
+                sample_bytes = oh * ow * 9 * c_in * itemsize
+                sample_work = oh * ow * 9 * c_in * c
+                for n in CHUNK_BATCHES:
+                    chunks = network._sample_chunks(n, sample_bytes, sample_work)
+                    bounds = [start for start, _ in chunks] + [n]
+                    assert chunks == list(zip(bounds, bounds[1:]))
+                    sizes = np.diff(bounds)
+                    assert bounds[0] == 0 and (sizes > 0).all()
+                    if len(sizes) == 1:
+                        kinds.add("one" if n * sample_bytes <= budget else "merged tail")
+                        continue
+                    assert (sizes[:-1] % network._WGRAD_BLOCK == 0).all()
+                    assert (sizes[:-1] * sample_bytes <= budget).all()
+                    assert (sizes * sample_work > bound).all()
+                    merged = sizes[-1] > sizes[0]
+                    kinds.add("merged tail" if merged else "many")
+    assert kinds == {"one", "many", "merged tail"}
+
+
+def test_large_batch_conv_transients_stay_within_the_chunk_budget():
+    # conv2 at C = 64 and batch 196: the whole batch's im2col or dcols rows
+    # would be 19 MB
+    c, n = 64, 196
+    rng = np.random.default_rng(47)
+    w = rng.normal(size=(3, 3, c, c)).astype(np.float32).transpose(3, 2, 0, 1)
+    b = rng.normal(size=c).astype(np.float32)
+    x = rng.normal(size=(n, 6, 7, c)).astype(np.float32).transpose(0, 3, 1, 2)
+    calls = {
+        "conv_forward": lambda: network.conv_forward(x, w, b, 1),
+        "conv_input_backward": lambda: network.conv_input_backward(x, w, (6, 7), 1),
+    }
+    for name, call in calls.items():
+        call()  # fills the col2im index cache outside the traced call
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.nbytes + 2 * network._CHUNK_BYTES, name
 
 
 def weight_grad_reference(d, x, pad):
