@@ -11,11 +11,21 @@ permutation sum, small ground sets only), plain permutation sampling
 with a Hoeffding sample count, and partial permutation sampling that
 walks only coalition sizes above a floor so every query stays on the
 training manifold of partially-hidden boards.
+
+Every estimator asks for its coalitions through ``eval_masks``, which
+plans them in blocks of BLOCK_ROWS before evaluating any. A network
+game evaluates its blocks on the calling thread plus one helper thread
+per usable CPU that the BLAS threads leave idle (none when the BLAS
+thread count is not pinned, see ``_helper_threads``). Each block is
+still one ``forward_masks`` call on the same grids, so the values, the
+cache and the counters are those of evaluating the blocks in turn.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterable, Optional
@@ -109,7 +119,7 @@ class CharacteristicFn:
                 raise MaskOutOfRange(
                     f"coalition mask {mask!r} is not an integer in [0, 2^{self.t})"
                 )
-            self._store([mask])
+            self._store([mask], self._evaluate([mask]))
             hit = self._cache[mask]
         else:
             self.hits += 1
@@ -119,10 +129,14 @@ class CharacteristicFn:
     def eval_masks(self, masks) -> np.ndarray:
         """Values of many coalition bitmasks, in query order.
 
-        The queries are walked in blocks of BLOCK_ROWS. The uncached
-        coalitions of a block go to the game in one hook call (one
-        network forward for nu_pol and nu_val), then every query of the
-        block is read back through eval_mask.
+        The queries are planned in blocks of BLOCK_ROWS. A block's
+        coalitions that are neither cached nor planned by an earlier
+        block go to the game in one hook call (one network forward for
+        nu_pol and nu_val). ``_evaluate_blocks`` evaluates those lists,
+        their values are stored in block order, and every query is then
+        read back through eval_mask. Values, cache and counters are
+        those of walking the blocks one after the other, whichever
+        thread evaluated a block.
         """
         masks = np.asarray(masks).reshape(-1)
         # an empty list reads as float64; Python ints past uint64 as objects
@@ -131,19 +145,22 @@ class CharacteristicFn:
         ):
             raise MaskOutOfRange(f"coalition masks must be integers in [0, 2^{self.t})")
         masks = masks.astype(np.int64).tolist()
-        out = np.empty(len(masks))
+        planned = set()
+        blocks = []
         for start in range(0, len(masks), BLOCK_ROWS):
             block = masks[start : start + BLOCK_ROWS]
-            missing = [m for m in dict.fromkeys(block) if m not in self._cache]
+            missing = [m for m in dict.fromkeys(block) if m not in self._cache and m not in planned]
             if missing:
-                self._store(missing)
-                self.hits -= len(missing)  # their read-back below evaluated them
-            out[start : start + len(block)] = [self.eval_mask(m) for m in block]
-        return out
+                planned.update(missing)
+                blocks.append(missing)
+        del planned  # as large as the cache this call adds to
+        for block, values in zip(blocks, self._evaluate_blocks(blocks)):
+            self._store(block, values)
+            self.hits -= len(block)  # their read-back below evaluates them
+        return np.fromiter(map(self.eval_mask, masks), dtype=float, count=len(masks))
 
-    def _store(self, masks: list) -> None:
+    def _store(self, masks: list, values) -> None:
         self.batches += 1
-        values = self._evaluate(masks)
         for mask, val in zip(masks, values):
             self._cache[mask] = float(val)
 
@@ -151,6 +168,12 @@ class CharacteristicFn:
         """The game's values on the coalition bitmasks ``masks``: the one
         evaluation hook. Here ``fn`` of each coalition's member set."""
         return [self._fn(self.members(m)) for m in masks]
+
+    def _evaluate_blocks(self, blocks: list):
+        """The values of each block of ``blocks``, in block order: one
+        ``_evaluate`` call per block, the next one only after the last."""
+        for block in blocks:
+            yield self._evaluate(block)
 
 
 class _NetworkGame(CharacteristicFn):
@@ -174,6 +197,62 @@ class _NetworkGame(CharacteristicFn):
         grids[:, self._rows, self._cols] = bits
         trace = network.forward_masks(self._params, self._x, grids)
         return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
+
+    def _evaluate_blocks(self, blocks):
+        """Each block is one ``_evaluate`` call, as in the sequential
+        walk, taken in turn by the calling thread and by helper threads
+        for the CPUs the BLAS threads leave idle. After a block fails no
+        thread starts another, and the helpers end before this returns.
+        """
+        helpers = min(len(blocks) - 1, _helper_threads())
+        if helpers < 1:
+            return super()._evaluate_blocks(blocks)
+        from concurrent.futures import ThreadPoolExecutor
+
+        values = [None] * len(blocks)
+        order = iter(range(len(blocks)))
+        lock = threading.Lock()
+        failed = False
+
+        def work():
+            nonlocal failed
+            while True:
+                with lock:
+                    i = None if failed else next(order, None)
+                if i is None:
+                    return
+                try:  # a copy: a view would keep the block's whole policy alive
+                    values[i] = np.array(self._evaluate(blocks[i]))
+                except BaseException:
+                    with lock:
+                        failed = True
+                    raise
+
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            runs = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for run in runs:
+            run.result()
+        return values
+
+
+def _helper_threads() -> int:
+    """Threads that may evaluate network blocks beside the calling one:
+    usable CPUs // BLAS threads - 1. The BLAS thread count is read from
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; with neither set (or a
+    value that is not a positive integer) OpenBLAS runs a thread per
+    usable CPU, which leaves none idle. A helper beside 2 BLAS threads
+    on 2 CPUs made 40 Shapley boards about 30% slower."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    try:
+        blas = int(value)
+    except (TypeError, ValueError):
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(cpus // blas - 1, 0) if blas > 0 else 0
 
 
 def nu_pol(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:

@@ -8,7 +8,6 @@ the canonical feature order being column-major, bottom-up.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional
@@ -262,6 +261,8 @@ def play_series(make_a: Callable, make_b: Callable, seeds, workers: int = 1) -> 
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(make_a, make_b, i, ss) for i, ss in enumerate(seeds)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off `import c4xai`
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_series_game, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     return [_series_game(job) for job in jobs]

@@ -84,7 +84,9 @@ print(h.hexdigest())
 """
 
 # partial Shapley on nu_pol at C = 64: the masked forwards share conv2
-# rows, so their GEMMs have fewer rows than the blocks
+# rows, so their GEMMs have fewer rows than the blocks. On 2 or more CPUs
+# the 1-thread run evaluates blocks on a helper thread too and the
+# 2-thread run does not, so this also compares those two paths.
 SHAPLEY_SCRIPT = """
 import hashlib
 import numpy as np
@@ -98,8 +100,10 @@ for t in (8, 26):
         board = engine.apply_move(board, int(rng.choice(board.legal_moves())))
         if engine.outcome(board).is_terminal:
             board = engine.new_board()
-    res = charfn.partial_shapley(charfn.nu_pol(params, board), 0.5, 185, np.random.default_rng(t))
+    nu = charfn.nu_pol(params, board)
+    res = charfn.partial_shapley(nu, 0.5, 185, np.random.default_rng(t))
     h.update(res.values.tobytes())
+    h.update(repr((nu.queries, nu.hits, nu.batches)).encode())
 print(h.hexdigest())
 """
 

@@ -1,6 +1,10 @@
 """Shapley machinery against small games with known closed forms."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -452,3 +456,158 @@ def test_counters_on_a_network_game(monkeypatch):
     assert len(forwards) == nu.batches  # one forward per hook call
     assert sum(forwards) == nu.queries - nu.hits == len(nu._cache)
     assert max(forwards) <= charfn.BLOCK_ROWS
+
+
+# --- blocks on helper threads --------------------------------------------------
+
+def shapley_run(make_nu, helpers, monkeypatch, run, record=None):
+    """``run(nu)`` with charfn's helper-thread count fixed to ``helpers``;
+    ``record`` collects the thread of every block evaluation."""
+    monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
+    nu = make_nu()
+    if record is not None:
+        evaluate = nu._evaluate
+
+        def recording(masks):
+            record.add(threading.get_ident())
+            return evaluate(masks)
+
+        nu._evaluate = recording
+    values = run(nu)
+    return values, nu
+
+
+def net_game_at(width, dtype, n_moves, seed):
+    _, _, board = make_net_game(n_moves, seed=seed)
+    params = network.init(network.ArchDescriptor(width), np.random.default_rng(seed), dtype=dtype)
+    return lambda: charfn.nu_pol(params, board)
+
+
+@pytest.mark.parametrize(
+    "width, dtype", [(64, np.float32), (8, np.float64)], ids=["C64-float32", "C8-float64"]
+)
+def test_helper_threads_give_the_sequential_values_cache_and_counters(width, dtype, monkeypatch):
+    make_nu = net_game_at(width, dtype, 10, seed=width)
+    walks = charfn.sample_count(0.1, 0.05)  # 185 permutations, 6 coalitions each
+
+    def run(nu):
+        return charfn.partial_shapley(nu, 0.5, walks, np.random.default_rng(61)).values
+
+    threads = set()
+    got, got_nu = shapley_run(make_nu, 1, monkeypatch, run, threads)
+    ref, ref_nu = shapley_run(make_nu, 0, monkeypatch, run)
+    assert len(threads) == 2  # the helper evaluated blocks
+    # every walk ends at the grand coalition, so masks repeat across blocks
+    assert ref_nu.batches >= 3 and ref_nu.hits >= walks - 1
+    assert np.array_equal(got, ref)
+    assert got_nu._cache == ref_nu._cache
+    assert (got_nu.queries, got_nu.hits, got_nu.batches) == (
+        ref_nu.queries, ref_nu.hits, ref_nu.batches
+    )
+
+
+def test_helper_threads_give_the_sequential_exact_values(monkeypatch):
+    make_nu = net_game_at(8, np.float64, 11, seed=3)
+
+    def run(nu):
+        return charfn.exact_shapley(nu).values
+
+    threads = set()
+    got, got_nu = shapley_run(make_nu, 1, monkeypatch, run, threads)
+    ref, ref_nu = shapley_run(make_nu, 0, monkeypatch, run)
+    assert got_nu.t == 11 and len(threads) == 2
+    assert np.array_equal(got, ref)
+    assert got_nu._cache == ref_nu._cache
+    assert (got_nu.queries, got_nu.hits, got_nu.batches) == (1 << 11, 0, (1 << 11) // charfn.BLOCK_ROWS)
+
+
+def test_more_helpers_than_cores_evaluate_every_block_once(monkeypatch):
+    make_nu = net_game_at(8, np.float64, 11, seed=5)
+    ref, ref_nu = shapley_run(make_nu, 0, monkeypatch, lambda nu: nu.eval_masks(np.arange(1 << 11)))
+    rows = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        monkeypatch.setattr(charfn, "_helper_threads", lambda: 5)
+        nu = make_nu()
+        evaluate = nu._evaluate
+
+        def counting(masks):
+            rows.extend(masks)
+            return evaluate(masks)
+
+        nu._evaluate = counting
+        started = time.perf_counter()
+        got = nu.eval_masks(np.arange(1 << 11))
+    finally:
+        sys.setswitchinterval(switch)
+    assert time.perf_counter() - started < 60
+    assert sorted(rows) == list(range(1 << 11))  # no block lost or repeated
+    assert np.array_equal(got, ref) and nu._cache == ref_nu._cache
+
+
+class BlockFailed(Exception):
+    pass
+
+
+class FailingGame(charfn._NetworkGame):
+    """Raises on its second block (masks 64..127); the others take 20 ms."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.events = []
+        self._lock = threading.Lock()
+
+    def _evaluate(self, masks):
+        block = masks[0] // charfn.BLOCK_ROWS
+        with self._lock:
+            self.events.append(("start", block))
+            if block == 1:
+                self.events.append(("failed", block))
+        if block == 1:
+            raise BlockFailed
+        time.sleep(0.02)
+        return super()._evaluate(masks)
+
+
+@pytest.mark.parametrize("helpers", [1, 0])
+def test_a_failed_block_stops_every_block_and_helper(helpers, monkeypatch):
+    monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
+    _, params, board = make_net_game(10, seed=2)
+    nu = FailingGame(params, board, "policy")
+    before = threading.active_count()
+    with pytest.raises(BlockFailed):
+        nu.eval_masks(np.arange(6 * charfn.BLOCK_ROWS))
+    assert threading.active_count() == before
+    failed_at = nu.events.index(("failed", 1))
+    assert not any(kind == "start" for kind, _ in nu.events[failed_at:])
+
+
+@pytest.mark.parametrize(
+    "env, cpus, helpers",
+    [
+        ({}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
+        ({"OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 7),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 3),
+        ({"OPENBLAS_NUM_THREADS": "four"}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 0),
+    ],
+)
+def test_helper_threads_take_the_cpus_blas_leaves_idle(env, cpus, helpers, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert charfn._helper_threads() == helpers
+
+
+def test_helper_threads_count_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert charfn._helper_threads() == 3

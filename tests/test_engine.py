@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +461,16 @@ def test_random_playouts_big_batch():
         kinds[out.kind] += 1
         assert scan(final.cells) or out.kind == engine.DRAW
     assert kinds[engine.RED_WINS] > kinds[engine.BLUE_WINS] > 0
+
+
+def test_importing_c4xai_loads_no_process_pool():
+    # play_series imports its process pool only when it runs one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "import sys, c4xai; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
