@@ -462,19 +462,22 @@ def test_counters_on_a_network_game(monkeypatch):
 
 def shapley_run(make_nu, helpers, monkeypatch, run, record=None):
     """``run(nu)`` with charfn's helper-thread count fixed to ``helpers``;
-    ``record`` collects the thread of every block evaluation."""
+    ``record`` collects the threads that evaluate blocks, and each
+    thread's first block waits (10 s at most) until two threads have one."""
     monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
     nu = make_nu()
     if record is not None:
         evaluate = nu._evaluate
+        both = threading.Barrier(2, timeout=10)
 
         def recording(masks):
-            record.add(threading.get_ident())
+            if threading.get_ident() not in record:
+                record.add(threading.get_ident())
+                both.wait()
             return evaluate(masks)
 
         nu._evaluate = recording
-    values = run(nu)
-    return values, nu
+    return run(nu), nu
 
 
 def net_game_at(width, dtype, n_moves, seed):
