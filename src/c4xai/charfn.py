@@ -15,16 +15,18 @@ training manifold of partially-hidden boards.
 Every estimator asks for its coalitions through ``eval_masks``, which
 plans them in blocks of BLOCK_ROWS before evaluating any. A network
 game evaluates its blocks on the calling thread plus one helper thread
-per usable CPU that the BLAS threads leave idle (none when the BLAS
-thread count is not pinned, see ``_helper_threads``). Each block is
-still one ``forward_masks`` call on the same grids, so the values, the
-cache and the counters are those of evaluating the blocks in turn.
+when the BLAS threads leave a usable CPU idle (none when the BLAS
+thread count is not pinned, or in a process pool's worker, see
+``_helper_threads``). Each block is still one ``forward_masks`` call on
+the same grids, so the values, the cache and the counters are those of
+evaluating the blocks in turn.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -133,10 +135,11 @@ class CharacteristicFn:
         coalitions that are neither cached nor planned by an earlier
         block go to the game in one hook call (one network forward for
         nu_pol and nu_val). ``_evaluate_blocks`` evaluates those lists,
-        their values are stored in block order, and every query is then
-        read back through eval_mask. Values, cache and counters are
-        those of walking the blocks one after the other, whichever
-        thread evaluated a block.
+        their values are stored in block order once every block is
+        evaluated, and every query is then read back through eval_mask.
+        Values, cache and counters are those of walking the blocks one
+        after the other, whichever thread evaluated a block; a block
+        that raises leaves the cache and the counters as they were.
         """
         masks = np.asarray(masks).reshape(-1)
         # an empty list reads as float64; Python ints past uint64 as objects
@@ -169,11 +172,10 @@ class CharacteristicFn:
         evaluation hook. Here ``fn`` of each coalition's member set."""
         return [self._fn(self.members(m)) for m in masks]
 
-    def _evaluate_blocks(self, blocks: list):
+    def _evaluate_blocks(self, blocks: list) -> list:
         """The values of each block of ``blocks``, in block order: one
         ``_evaluate`` call per block, the next one only after the last."""
-        for block in blocks:
-            yield self._evaluate(block)
+        return [self._evaluate(block) for block in blocks]
 
 
 class _NetworkGame(CharacteristicFn):
@@ -196,12 +198,13 @@ class _NetworkGame(CharacteristicFn):
         grids = np.zeros((len(masks), engine.ROWS, engine.COLS), dtype=self._x.dtype)
         grids[:, self._rows, self._cols] = bits
         trace = network.forward_masks(self._params, self._x, grids)
-        return trace.policy[:, self.a_star] if self.head == "policy" else trace.value
+        # a copy: a view would keep the block's whole policy alive until stored
+        return trace.policy[:, self.a_star].copy() if self.head == "policy" else trace.value
 
     def _evaluate_blocks(self, blocks):
         """Each block is one ``_evaluate`` call, as in the sequential
-        walk, taken in turn by the calling thread and by helper threads
-        for the CPUs the BLAS threads leave idle. After a block fails no
+        walk, taken in turn by the calling thread and by the helper
+        threads ``_helper_threads`` allows. After a block fails no
         thread starts another, and the helpers end before this returns.
         """
         helpers = min(len(blocks) - 1, _helper_threads())
@@ -221,8 +224,8 @@ class _NetworkGame(CharacteristicFn):
                     i = None if failed else next(order, None)
                 if i is None:
                     return
-                try:  # a copy: a view would keep the block's whole policy alive
-                    values[i] = np.array(self._evaluate(blocks[i]))
+                try:
+                    values[i] = self._evaluate(blocks[i])
                 except BaseException:
                     with lock:
                         failed = True
@@ -238,13 +241,26 @@ class _NetworkGame(CharacteristicFn):
 
 def _helper_threads() -> int:
     """Threads that may evaluate network blocks beside the calling one:
-    usable CPUs // BLAS threads - 1. The BLAS thread count is read from
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; with neither set (or a
-    value that is not a positive integer) OpenBLAS runs a thread per
-    usable CPU, which leaves none idle. A helper beside 2 BLAS threads
-    made 40 Shapley boards slower on a 2-core x86-64 host (median 5.7
-    against 4.8 s)."""
-    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    1 when the usable CPUs number at least twice the BLAS threads, else
+    0. One helper is the count measured (2-core x86-64 host); more on
+    larger hosts are unmeasured. A helper beside 2 BLAS threads made 40
+    Shapley boards slower there (median 5.7 against 4.8 s).
+
+    The BLAS thread count is not asked of the BLAS: it is read from the
+    variables OpenBLAS (numpy's wheels) reads when it loads, in its
+    order OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS. With
+    none set OpenBLAS runs a thread per usable CPU and no helper
+    starts; nor does one when the first one set is not a positive
+    integer. A limit set at
+    runtime, or another BLAS's own variable (MKL_NUM_THREADS), is not
+    seen. A process pool's worker starts no helper: its sibling
+    workers take the other CPUs.
+    """
+    mp = sys.modules.get("multiprocessing")  # loaded in every pool worker
+    if mp is not None and mp.parent_process() is not None:
+        return 0
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    value = next((os.environ[name] for name in names if name in os.environ), None)
     try:
         blas = int(value)
     except (TypeError, ValueError):
@@ -253,7 +269,7 @@ def _helper_threads() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(cpus // blas - 1, 0) if blas > 0 else 0
+    return 1 if blas > 0 and cpus >= 2 * blas else 0
 
 
 def nu_pol(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:

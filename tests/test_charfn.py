@@ -1,10 +1,12 @@
 """Shapley machinery against small games with known closed forms."""
 
 import math
+import multiprocessing
 import os
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -578,12 +580,16 @@ def test_a_failed_block_stops_every_block_and_helper(helpers, monkeypatch):
     monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
     _, params, board = make_net_game(10, seed=2)
     nu = FailingGame(params, board, "policy")
+    nu.eval_masks(np.arange(10))  # some of the failing call's first block is cached
+    state = (dict(nu._cache), nu.queries, nu.hits, nu.batches)
     before = threading.active_count()
     with pytest.raises(BlockFailed):
         nu.eval_masks(np.arange(6 * charfn.BLOCK_ROWS))
     assert threading.active_count() == before
     failed_at = nu.events.index(("failed", 1))
     assert not any(kind == "start" for kind, _ in nu.events[failed_at:])
+    # the evaluated first block is not stored: cache and counters are untouched
+    assert (nu._cache, nu.queries, nu.hits, nu.batches) == state
 
 
 @pytest.mark.parametrize(
@@ -594,14 +600,17 @@ def test_a_failed_block_stops_every_block_and_helper(helpers, monkeypatch):
         ({"OPENBLAS_NUM_THREADS": "2"}, 2, 0),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
         ({"OMP_NUM_THREADS": "1"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 7),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 3),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 1),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 0),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 1),  # one helper: the count measured
+        ({"OPENBLAS_NUM_THREADS": "4"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 6, 0),
         ({"OPENBLAS_NUM_THREADS": "four"}, 2, 0),
         ({"OPENBLAS_NUM_THREADS": "0"}, 2, 0),
     ],
 )
 def test_helper_threads_take_the_cpus_blas_leaves_idle(env, cpus, helpers, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -611,6 +620,17 @@ def test_helper_threads_take_the_cpus_blas_leaves_idle(env, cpus, helpers, monke
 
 def test_helper_threads_count_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert charfn._helper_threads() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert charfn._helper_threads() == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert charfn._helper_threads() == 1
+
+
+def test_a_process_pool_worker_starts_no_helper(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert charfn._helper_threads() == 1
+    fork = multiprocessing.get_context("fork")  # the worker keeps the patched CPU count
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        assert pool.submit(charfn._helper_threads).result() == 0
