@@ -12,11 +12,12 @@ with a Hoeffding sample count, and partial permutation sampling that
 walks only coalition sizes above a floor so every query stays on the
 training manifold of partially-hidden boards.
 
-Every estimator asks for its coalitions through ``eval_masks``, which
-plans them in blocks of BLOCK_ROWS before evaluating any. A network
-game evaluates its blocks on the calling thread plus one helper thread
-when the BLAS threads leave a usable CPU idle (none when the BLAS
-thread count is not pinned, or in a process pool's worker, see
+Every coalition is evaluated through ``eval_masks``, which plans its
+queries in blocks of BLOCK_ROWS before evaluating any; ``eval_mask``
+answers a cache hit itself and hands a miss to ``eval_masks``. A
+network game evaluates its blocks on the calling thread plus one helper
+thread when the BLAS threads leave a usable CPU idle (none when the
+BLAS thread count is not pinned, or in a process pool's worker, see
 ``_helper_threads``). Each block is still one ``forward_masks`` call on
 the same grids, so the values, the cache and the counters are those of
 evaluating the blocks in turn.
@@ -64,32 +65,21 @@ class CharacteristicFn:
 
     ``fn`` receives a frozenset of ground-set members; a subclass may
     instead override ``_evaluate``, which receives the uncached coalition
-    bitmasks of a block (bit i set: ``ground[i]`` is in). Metadata carries
-    the decision context (head, board, explained action) when the game
-    comes from a network.
+    bitmasks of a block (bit i set: ``ground[i]`` is in).
 
     The cache keeps every evaluated coalition for the object's lifetime:
     a game is built for one explained position, so it holds at most the
     distinct coalitions its caller asked for.
 
-    Counters: ``queries`` (eval_mask calls), ``hits`` (queries answered
-    without evaluating the game) and ``batches`` (calls of the evaluation
-    hook). ``queries - hits`` is the number of rows evaluated.
+    Counters: ``queries`` (coalitions asked for, one per eval_mask call
+    or eval_masks entry), ``hits`` (queries answered without evaluating
+    the game) and ``batches`` (calls of the evaluation hook).
+    ``queries - hits`` is the number of rows evaluated.
     """
 
-    def __init__(
-        self,
-        ground: Iterable,
-        fn: Callable,
-        head: str = "synthetic",
-        board=None,
-        a_star: Optional[int] = None,
-    ):
+    def __init__(self, ground: Iterable, fn: Callable):
         self.ground = tuple(ground)
         self._fn = fn
-        self.head = head
-        self.board = board
-        self.a_star = a_star
         self._index = {f: i for i, f in enumerate(self.ground)}
         self._cache = {}
         self.queries = 0
@@ -114,17 +104,14 @@ class CharacteristicFn:
         return self.eval_mask(mask)
 
     def eval_mask(self, mask: int) -> float:
+        """The value of one coalition bitmask. A cached integer mask is a
+        hit; anything else goes through ``eval_masks``, which checks it
+        and evaluates a miss as a block of one (one batch)."""
         hit = self._cache.get(mask)
-        if hit is None:
-            # only a miss is checked: the cache holds in-range integer masks alone
-            if not (isinstance(mask, (int, np.integer)) and 0 <= mask < 1 << self.t):
-                raise MaskOutOfRange(
-                    f"coalition mask {mask!r} is not an integer in [0, 2^{self.t})"
-                )
-            self._store([mask], self._evaluate([mask]))
-            hit = self._cache[mask]
-        else:
-            self.hits += 1
+        # 2.0 finds coalition 2's entry, but names no coalition
+        if hit is None or not isinstance(mask, (int, np.integer)):
+            return float(self.eval_masks([mask])[0])
+        self.hits += 1
         self.queries += 1
         return hit
 
@@ -158,14 +145,11 @@ class CharacteristicFn:
                 blocks.append(missing)
         del planned  # as large as the cache this call adds to
         for block, values in zip(blocks, self._evaluate_blocks(blocks)):
-            self._store(block, values)
+            self.batches += 1
+            for mask, val in zip(block, values):
+                self._cache[mask] = float(val)
             self.hits -= len(block)  # their read-back below counts them as hits
         return np.fromiter(map(self.eval_mask, masks), dtype=float, count=len(masks))
-
-    def _store(self, masks: list, values) -> None:
-        self.batches += 1
-        for mask, val in zip(masks, values):
-            self._cache[mask] = float(val)
 
     def _evaluate(self, masks: list):
         """The game's values on the coalition bitmasks ``masks``: the one
@@ -185,9 +169,11 @@ class _NetworkGame(CharacteristicFn):
     def __init__(self, params: network.NetworkParams, board: engine.BoardState, head: str):
         if engine.outcome(board).is_terminal:
             raise CharFnError("characteristic functions are defined on ongoing positions")
+        super().__init__(board.occupied_cells(), None)
         trace = network.forward_boards(params, [board])
-        a_star = int(np.argmax(trace.policy[0]))
-        super().__init__(board.occupied_cells(), None, head=head, board=board, a_star=a_star)
+        self.head = head
+        self.board = board
+        self.a_star = int(np.argmax(trace.policy[0]))
         self._params = params
         self._x = trace.x[0]
         self._rows, self._cols = np.array(self.ground, dtype=np.intp).reshape(-1, 2).T
@@ -203,39 +189,38 @@ class _NetworkGame(CharacteristicFn):
 
     def _evaluate_blocks(self, blocks):
         """Each block is one ``_evaluate`` call, as in the sequential
-        walk, taken in turn by the calling thread and by the helper
-        threads ``_helper_threads`` allows. After a block fails no
-        thread starts another, and the helpers end before this returns.
+        walk. With two or more blocks and a helper allowed by
+        ``_helper_threads``, the calling thread and one helper thread
+        take block indices in turn from one shared iterator. A thread
+        whose block raises drains that iterator, so the other thread
+        starts no further block; the helper ends before this returns.
         """
-        helpers = min(len(blocks) - 1, _helper_threads())
-        if helpers < 1:
+        if len(blocks) < 2 or not _helper_threads():
             return super()._evaluate_blocks(blocks)
         from concurrent.futures import ThreadPoolExecutor
 
         values = [None] * len(blocks)
         order = iter(range(len(blocks)))
         lock = threading.Lock()
-        failed = False
 
         def work():
-            nonlocal failed
             while True:
                 with lock:
-                    i = None if failed else next(order, None)
+                    i = next(order, None)
                 if i is None:
                     return
                 try:
                     values[i] = self._evaluate(blocks[i])
                 except BaseException:
                     with lock:
-                        failed = True
+                        for _ in order:  # drained: no thread starts another block
+                            pass
                     raise
 
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            runs = [pool.submit(work) for _ in range(helpers)]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(work)
             work()
-        for run in runs:
-            run.result()
+        helper.result()
         return values
 
 
@@ -335,22 +320,11 @@ def exact_shapley(nu: CharacteristicFn) -> ShapleyResult:
 
 
 def exact_shapley_by_permutations(nu: CharacteristicFn) -> ShapleyResult:
-    """Exact values via the full permutation sum; cross-check oracle."""
-    t = nu.t
-    if t > PERM_LIMIT:
-        raise GroundSetTooLarge(f"t = {t} exceeds the permutation limit {PERM_LIMIT}")
-    values = nu.eval_masks(np.arange(1 << t))
-    phi = np.zeros(t)
-    for perm in permutations(range(t)):
-        mask = 0
-        prev = values[0]
-        for i in perm:
-            mask |= 1 << i
-            cur = values[mask]
-            phi[i] += cur - prev
-            prev = cur
-    phi /= math.factorial(t)
-    return ShapleyResult(features=nu.ground, values=phi, meta={"form": "permutation"})
+    """Exact values via the full permutation sum (the partial sum at
+    p = 0); cross-check oracle for the subset sum of exact_shapley."""
+    res = exact_partial_shapley(nu, 0.0)
+    res.meta = {"form": "permutation"}
+    return res
 
 
 def exact_partial_shapley(nu: CharacteristicFn, p: float, conditional: bool = False) -> ShapleyResult:

@@ -154,10 +154,13 @@ def cmd_fw(args) -> int:
     return 0
 
 
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+
+
 def cmd_saliency_dump(args) -> int:
-    # map methods ignore the fraction, but a bad value is still bad input
-    if not 0.0 <= args.fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {args.fraction}")
+    _check_fraction(args.fraction)  # map methods ignore it, but a bad value is still bad input
     params = network.load(args.checkpoint)
     board = _load_board(args)
     rng = np.random.default_rng(args.seed)
@@ -177,6 +180,7 @@ def cmd_saliency_dump(args) -> int:
 
 
 def cmd_groundtruth(args) -> int:
+    _check_fraction(args.fraction)  # before harvesting, which can play thousands of games
     params = network.load(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     cases = harness.harvest_ground_truth(params, args.cases, rng, confidence=args.confidence)

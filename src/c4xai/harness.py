@@ -69,6 +69,8 @@ def harvest_ground_truth(
     cell the winning move lands on."""
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
+    if not 0.0 <= confidence <= 1.0:  # a NaN or out-of-range floor would play every game
+        raise ValueError(f"confidence must lie in [0, 1], got {confidence}")
     if game_cap is None:
         game_cap = max(200, 60 * n_cases)
     cases = []
@@ -391,6 +393,7 @@ def write_sidecar(
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "GOTO_NUM_THREADS": os.environ.get("GOTO_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "command": list(command),
         "seed": seed,

@@ -299,6 +299,29 @@ def test_non_integer_masks_are_rejected():
     assert nu.eval_masks([]).size == 0
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_a_float_mask_is_rejected_whatever_the_cache_holds(cached):
+    nu, _, _ = make_net_game(4)
+    if cached:
+        nu.eval_mask(2)  # 2.0 == 2 finds this entry, yet names no coalition
+    state = (dict(nu._cache), nu.queries, nu.hits, nu.batches)
+    for mask in (2.0, np.float64(2)):
+        with pytest.raises(charfn.MaskOutOfRange):
+            nu.eval_mask(mask)
+    assert (dict(nu._cache), nu.queries, nu.hits, nu.batches) == state
+
+
+def test_an_eval_mask_miss_is_an_eval_masks_block_of_one():
+    nu, _, _ = make_net_game(6)
+    ref, _, _ = make_net_game(6)
+    got = nu.eval_mask(13)
+    assert type(got) is float and got == ref.eval_masks([13])[0]
+    assert (nu.queries, nu.hits, nu.batches) == (ref.queries, ref.hits, ref.batches) == (1, 0, 1)
+    assert nu._cache == ref._cache
+    assert nu.eval_mask(np.int64(13)) == got
+    assert (nu.queries, nu.hits, nu.batches) == (2, 1, 1)
+
+
 def test_nu_rejects_terminal_board():
     rng = np.random.default_rng(23)
     params = network.init(network.ArchDescriptor(8), rng, dtype=np.float64)
@@ -526,14 +549,14 @@ def test_helper_threads_give_the_sequential_exact_values(monkeypatch):
     assert (got_nu.queries, got_nu.hits, got_nu.batches) == (1 << 11, 0, (1 << 11) // charfn.BLOCK_ROWS)
 
 
-def test_more_helpers_than_cores_evaluate_every_block_once(monkeypatch):
+def test_one_helper_at_a_short_switch_interval_evaluates_every_block_once(monkeypatch):
     make_nu = net_game_at(8, np.float64, 11, seed=5)
     ref, ref_nu = shapley_run(make_nu, 0, monkeypatch, lambda nu: nu.eval_masks(np.arange(1 << 11)))
     rows = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        monkeypatch.setattr(charfn, "_helper_threads", lambda: 5)
+        monkeypatch.setattr(charfn, "_helper_threads", lambda: 1)
         nu = make_nu()
         evaluate = nu._evaluate
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import find
 from hypothesis import strategies as st
 
-from c4xai import cli, engine, network, training
+from c4xai import cli, engine, harness, network, training
 
 DATA = Path(__file__).parent / "data"
 
@@ -512,6 +512,9 @@ MALFORMED = {
         "groundtruth --methods random --fraction 5 --cases 1 --confidence 0",
     ),
     "saliency on a finished game": (2, f"saliency-dump --method gradient --moves {FINISHED}"),
+    # checked before any game: unchecked, a floor no case meets plays the whole game cap
+    "nan groundtruth confidence": (2, "groundtruth --methods random --cases 1 --confidence nan"),
+    "groundtruth confidence above one": (2, "groundtruth --methods random --confidence 1.5"),
 }
 
 
@@ -525,6 +528,16 @@ def test_malformed_invocation_exits_without_traceback(tmp_path, checkpoint, caps
     argv = line.format(ckpt=checkpoint, dir=tmp_path, out=tmp_path / "out").split()
     assert cli.main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["5", "nan", "-0.5"])
+def test_groundtruth_checks_the_fraction_before_harvesting(checkpoint, monkeypatch, fraction):
+    def harvest(*args, **kwargs):
+        raise AssertionError("harvested before the fraction was checked")
+
+    monkeypatch.setattr(harness, "harvest_ground_truth", harvest)
+    argv = ["groundtruth", "--checkpoint", checkpoint, "--methods", "random", "--fraction", fraction]
+    assert cli.main(argv) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,22 @@ class TestHarvest:
         rng = np.random.default_rng(3)
         with pytest.raises(harness.InsufficientCases) as exc:
             harness.harvest_ground_truth(
-                params, n_cases=2, rng=rng, confidence=1.01, game_cap=30
+                params, n_cases=2, rng=rng, confidence=1.0, game_cap=30
             )
         assert exc.value.collected == []
+
+    @pytest.mark.parametrize("confidence", [float("nan"), -0.1, 1.01])
+    def test_a_floor_outside_the_unit_interval_is_rejected_before_any_game(
+        self, params, confidence, monkeypatch
+    ):
+        def play(*args, **kwargs):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(engine, "play", play)
+        with pytest.raises(ValueError, match="confidence"):
+            harness.harvest_ground_truth(
+                params, n_cases=2, rng=np.random.default_rng(3), confidence=confidence
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +310,7 @@ class TestSidecar:
 
     def test_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         csv_path = tmp_path / "out.csv"
         csv_path.write_text("x\n")
@@ -306,7 +320,8 @@ class TestSidecar:
         assert meta["python_version"] == platform.python_version()
         assert meta["numpy_version"] == np.__version__
         assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
-        assert (meta["OPENBLAS_NUM_THREADS"], meta["OMP_NUM_THREADS"]) == ("1", None)
+        threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        assert [meta[name] for name in threads] == ["1", "2", None]
 
     def test_absent_inputs_hash_to_null(self, tmp_path):
         csv_path = tmp_path / "out.csv"
