@@ -24,6 +24,8 @@ echo "== explain a position: Shapley values and a FW mask =="
 MOVES=3,3,4,2,2,4,5,1
 c4xai shapley --checkpoint "$CKPT" --moves $MOVES --p 0.5 --samples 200 \
     --seed 2 --out "$OUT/shapley.csv"
+c4xai shapley --checkpoint "$CKPT" --moves $MOVES --p 0.5 --exact \
+    --out "$OUT/shapley_exact.csv"
 c4xai fw --checkpoint "$CKPT" --moves $MOVES --k 3 --out "$OUT/fw.csv"
 grep -v '^#' "$OUT/shapley.csv" | head -n 4
 

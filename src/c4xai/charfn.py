@@ -6,11 +6,12 @@ whose colour is revealed, and the payoff is either the policy
 probability of the full-information best move (nu_pol) or the value
 estimate (nu_val) on the partially revealed board.
 
-Shapley values come in three flavours: exact enumeration (subsetsum or
-permutation sum, small ground sets only), plain permutation sampling
-with a Hoeffding sample count, and partial permutation sampling that
-walks only coalition sizes above a floor so every query stays on the
-training manifold of partially-hidden boards.
+Shapley values come in three flavours: exact values (the subset form
+of the restricted permutation sum, small ground sets only), plain
+permutation sampling with a Hoeffding sample count, and partial
+permutation sampling. Partial values, exact or sampled, query only
+coalitions at or above a size floor ceil(p*t), so every query stays on
+the training manifold of partially-hidden boards.
 
 Every coalition is evaluated through ``eval_masks``, which plans its
 queries in blocks of BLOCK_ROWS before evaluating any; ``eval_mask``
@@ -30,7 +31,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ from . import engine, network
 from .csvio import write_csv
 
 EXACT_LIMIT = 12  # 2^t coalition table guard
-PERM_LIMIT = 8  # t! enumeration guard
 BLOCK_ROWS = 64  # queries per eval_masks block: one network forward
 MASK_BITS = 63  # players an int64 coalition bitmask can hold
 
@@ -294,64 +293,47 @@ class ShapleyResult:
 
 
 def sample_count(epsilon: float, delta: float) -> int:
-    """Permutations needed for +-epsilon accuracy at confidence 1 - delta."""
+    """Permutations needed for +-epsilon accuracy at confidence 1 - delta.
+
+    The count 0.5 * epsilon^-2 * ln(2/delta) is Hoeffding's bound for
+    the mean of marginals with a range of 1, for one player: there is no
+    union bound over the t players. A marginal of a probability lies in
+    [-1, 1], a range of 2, for which the same (epsilon, delta) would
+    need four times as many permutations. The count is the paper's.
+    """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
     return int(math.ceil(0.5 * epsilon**-2 * math.log(2.0 / delta)))
 
 
-def exact_shapley(nu: CharacteristicFn) -> ShapleyResult:
-    """Exact values via the subset-weighted sum over all 2^t coalitions."""
-    t = nu.t
-    if t > EXACT_LIMIT:
-        raise GroundSetTooLarge(f"t = {t} exceeds the exact limit {EXACT_LIMIT}")
-    values = nu.eval_masks(np.arange(1 << t))
-    fact = [math.factorial(k) for k in range(t + 1)]
-    weights = [fact[s] * fact[t - 1 - s] / fact[t] for s in range(t)]
-    phi = np.zeros(t)
-    for i in range(t):
-        bit = 1 << i
-        for mask in range(1 << t):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            phi[i] += weights[s] * (values[mask | bit] - values[mask])
-    return ShapleyResult(features=nu.ground, values=phi, meta={"form": "subset"})
+def exact_shapley(nu: CharacteristicFn, p: float = 0.0) -> ShapleyResult:
+    """Exact partial Shapley values: the restricted permutation sum in
+    its subset form,
 
+        phi_i = sum over S without i, |S| >= ceil(p*t), of
+                s! (t-1-s)! / t! * (nu(S + i) - nu(S)),
 
-def exact_shapley_by_permutations(nu: CharacteristicFn) -> ShapleyResult:
-    """Exact values via the full permutation sum (the partial sum at
-    p = 0); cross-check oracle for the subset sum of exact_shapley."""
-    res = exact_partial_shapley(nu, 0.0)
-    res.meta = {"form": "permutation"}
-    return res
-
-
-def exact_partial_shapley(nu: CharacteristicFn, p: float, conditional: bool = False) -> ShapleyResult:
-    """Enumerate the permutation sum restricted to predecessor sets of
-    size >= ceil(p*t), normalized by t! (or by the class size when
-    ``conditional`` is set)."""
+    the target of ``partial_shapley`` (p = 0: the Shapley values). Only
+    the admissible coalitions (size >= the floor) are queried, in
+    ascending mask order and by one ``eval_masks`` call; at p = 0 that
+    is every mask 0 .. 2^t - 1.
+    """
     t = nu.t
     floor = _predecessor_floor(p, t)
-    if t > PERM_LIMIT:
-        raise GroundSetTooLarge(f"t = {t} exceeds the permutation limit {PERM_LIMIT}")
+    if t > EXACT_LIMIT:
+        raise GroundSetTooLarge(f"t = {t} exceeds the exact limit {EXACT_LIMIT}")
+    masks = np.arange(1 << t)
+    sizes = (masks[:, None] >> np.arange(t) & 1).sum(axis=1)
+    admissible = masks[sizes >= floor]
     values = np.zeros(1 << t)
-    on_manifold = [m for m in range(1 << t) if bin(m).count("1") >= floor]
-    values[on_manifold] = nu.eval_masks(on_manifold)
+    values[admissible] = nu.eval_masks(admissible)
+    fact = [math.factorial(k) for k in range(t + 1)]
+    weights = np.array([fact[s] * fact[t - 1 - s] / fact[t] for s in range(t)])
     phi = np.zeros(t)
-    hits = np.zeros(t)
-    for perm in permutations(range(t)):
-        mask = 0
-        for pos, i in enumerate(perm):
-            if pos >= floor:
-                phi[i] += values[mask | (1 << i)] - values[mask]
-                hits[i] += 1
-            mask |= 1 << i
-    denom = hits if conditional else float(math.factorial(t))
-    phi = phi / denom
-    return ShapleyResult(
-        features=nu.ground, values=phi, p=p, meta={"form": "partial-exact", "conditional": conditional}
-    )
+    for i in range(t):
+        without = admissible[(admissible >> i & 1) == 0]
+        phi[i] = weights[sizes[without]] @ (values[without | 1 << i] - values[without])
+    return ShapleyResult(features=nu.ground, values=phi, p=p, meta={"form": "subset"})
 
 
 def _predecessor_floor(p: float, t: int) -> int:
@@ -370,7 +352,6 @@ def partial_shapley(
     rng: np.random.Generator,
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
-    conditional: bool = False,
 ) -> ShapleyResult:
     """Sampled partial Shapley values.
 
@@ -379,8 +360,8 @@ def partial_shapley(
     queried. A feature accumulates a marginal only at admissible
     positions; the per-feature mean over admissible hits is rescaled by
     the admissible fraction (t - floor)/t, matching the 1/t!
-    normalization of the restricted permutation sum. ``conditional``
-    skips that rescale and reports the plain conditional mean.
+    normalization of the restricted permutation sum (``exact_shapley``
+    at the same p).
 
     All permutations are drawn first; their walks form one coalition
     matrix (prefix ORs of the permutations' bits) that is evaluated by
@@ -404,7 +385,7 @@ def partial_shapley(
     hits = np.bincount(perms[:, floor:].ravel(), minlength=t).astype(float)
     with np.errstate(invalid="ignore"):
         cond_mean = np.where(hits > 0, acc / np.maximum(hits, 1), 0.0)
-    values = cond_mean if conditional else cond_mean * ((t - floor) / t if t else 0.0)
+    values = cond_mean * ((t - floor) / t if t else 0.0)
     return ShapleyResult(
         features=nu.ground,
         values=values,
@@ -412,7 +393,7 @@ def partial_shapley(
         p=p,
         epsilon=epsilon,
         delta=delta,
-        meta={"form": "partial-sampled", "conditional": conditional},
+        meta={"form": "partial-sampled"},
     )
 
 
@@ -432,26 +413,3 @@ def sample_shapley(
     res = partial_shapley(nu, 0.0, n_permutations, rng, epsilon=epsilon, delta=delta)
     res.meta["form"] = "sampled"
     return res
-
-
-class QueryLog:
-    """Wraps a CharacteristicFn and records every queried coalition size."""
-
-    def __init__(self, nu: CharacteristicFn):
-        self._nu = nu
-        self.ground = nu.ground
-        self.sizes = []
-
-    @property
-    def t(self):
-        return self._nu.t
-
-    def eval_masks(self, masks) -> np.ndarray:
-        values = self._nu.eval_masks(masks)
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        self.sizes.extend(bin(m).count("1") for m in masks.tolist())
-        return values
-
-    @property
-    def min_size(self) -> int:
-        return min(self.sizes) if self.sizes else -1

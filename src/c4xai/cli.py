@@ -1,8 +1,8 @@
 """Command line front end.
 
 Every data-producing subcommand writes CSV plus a ``.meta.json`` sidecar
-recording the command line, seed, and content hashes of the checkpoint
-and config that produced it.
+recording the command line, seed, content hashes of the checkpoint
+and config that produced it, and the subcommand's wall time.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 oracle
 subprocess failure.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ def _sidecar(args, out_path, config_obj=None):
         seed=args.seed,
         checkpoint_path=getattr(args, "checkpoint", None),
         config_obj=config_obj,
+        wall_time_s=time.perf_counter() - args._started,
     )
 
 
@@ -119,7 +121,7 @@ def cmd_shapley(args) -> int:
     rng = np.random.default_rng(args.seed)
     nu = charfn.nu_pol(params, board) if args.head == "pol" else charfn.nu_val(params, board)
     if args.exact:
-        result = charfn.exact_shapley(nu)
+        result = charfn.exact_shapley(nu, args.p)
     else:
         eps = delta = None  # an explicit n carries no accuracy target
         n = args.samples
@@ -289,7 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=None, help="override sample count")
-    p.add_argument("--exact", action="store_true", help="exact subset enumeration")
+    p.add_argument(
+        "--exact",
+        action="store_true",
+        help=f"exact values from every coalition of size >= ceil(p*t); "
+        f"at most {charfn.EXACT_LIMIT} pieces",
+    )
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("fw", help="rate-distortion mask by Frank-Wolfe")
@@ -342,6 +349,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
+    args._started = time.perf_counter()  # the sidecars' wall_time_s
     try:
         return args.func(args)
     except mcts.OracleError as exc:

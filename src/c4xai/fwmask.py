@@ -4,7 +4,7 @@ A continuous mask m in [0,1]^{6x7} damps the two colour channels of a
 board encoding (the open-cells channel is never touched). Distortion is
 the squared drop in the policy probability of the full-information best
 move. Minimizing distortion over B_k = {v in [0,1]^42 : sum v <= k}
-with the conditional-gradient method yields a saliency map whose large
+with the Frank-Wolfe method yields a saliency map whose large
 entries mark the pieces that matter for the decision.
 """
 
@@ -113,14 +113,6 @@ def distortion(
     return obj.value(np.asarray(m, dtype=float))
 
 
-def distortion_gradient(
-    params: network.NetworkParams, board: engine.BoardState, m: np.ndarray
-) -> np.ndarray:
-    """Exact gradient of the distortion w.r.t. the mask entries."""
-    _, grad = _Objective(params, board).value_and_grad(np.asarray(m, dtype=float))
-    return grad
-
-
 def lmo_ksparse(gradient: np.ndarray, k: float) -> np.ndarray:
     """Linear minimization over B_k: indicator of the up-to-k most
     negative gradient entries (positive entries are never selected)."""
@@ -142,7 +134,7 @@ def fw_optimize(
     config: FWConfig,
     on_iterate: Optional[Callable] = None,
 ) -> FWResult:
-    """Conditional-gradient descent on the distortion over B_k.
+    """Frank-Wolfe descent on the distortion over B_k.
 
     Starts at the uniform feasible point (k/42) * ones. The default step
     2/(tau + 2) needs no curvature knowledge; the line-search rule

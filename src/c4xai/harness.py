@@ -377,9 +377,11 @@ def write_sidecar(
     seed: Optional[int],
     checkpoint_path=None,
     config_obj=None,
+    wall_time_s: Optional[float] = None,
 ) -> str:
     """JSON sidecar naming the producing command, seed, and content
-    hashes of the checkpoint and config used.
+    hashes of the checkpoint and config used, and the seconds the
+    command took (``wall_time_s``; null when not given).
 
     It also records the c4xai, Python, numpy and BLAS versions and the
     BLAS thread variables (null when unset): which BLAS build runs, and
@@ -405,6 +407,7 @@ def write_sidecar(
             if config_obj is not None
             else None
         ),
+        "wall_time_s": wall_time_s,
     }
     path = str(csv_path) + ".meta.json"
     with open(path, "w") as fh:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from c4xai import attribution, charfn, engine, fwmask, harness, mcts, network, training
+from oracles import QueryLog, exact_shapley_by_permutations
 
 DATA = Path(__file__).parent / "data"
 DESK_CKPT = DATA / "desk_checkpoint.ckpt"
@@ -58,7 +59,7 @@ def test_criterion_02_shapley_oracle_equivalence():
     rng = np.random.default_rng(202)
     for _ in range(50):
         nu = table_game(6, rng)
-        by_perm = charfn.exact_shapley_by_permutations(nu).values
+        by_perm = exact_shapley_by_permutations(nu).values
         by_subset = charfn.exact_shapley(nu).values
         assert np.max(np.abs(by_perm - by_subset)) <= 1e-12
 
@@ -88,29 +89,29 @@ def test_criterion_03_partial_axioms_and_efficiency_gap():
     combo = charfn.CharacteristicFn(
         range(5), lambda S: 2.0 * t1[frozenset(S)] - 0.5 * t2[frozenset(S)]
     )
-    v1 = charfn.exact_partial_shapley(nu1, 0.4).values
-    v2 = charfn.exact_partial_shapley(nu2, 0.4).values
-    vc = charfn.exact_partial_shapley(combo, 0.4).values
+    v1 = charfn.exact_shapley(nu1, 0.4).values
+    v2 = charfn.exact_shapley(nu2, 0.4).values
+    vc = charfn.exact_shapley(combo, 0.4).values
     assert np.max(np.abs(vc - (2.0 * v1 - 0.5 * v2))) <= 1e-12
 
     sym = charfn.CharacteristicFn(
         range(5), lambda S: len(S) ** 1.5 + (2.0 if 4 in S else 0.0)
     )
-    sv = charfn.exact_partial_shapley(sym, 0.4).values
+    sv = charfn.exact_shapley(sym, 0.4).values
     assert np.max(np.abs(np.diff(sv[:4]))) <= 1e-12
 
     weights = {0: 1.0, 1: 0.0, 2: -2.0, 3: 0.7}
     null = charfn.CharacteristicFn(
         range(4), lambda S: sum(weights[f] for f in S) ** 2
     )
-    assert abs(charfn.exact_partial_shapley(null, 0.3).values[1]) <= 1e-12
+    assert abs(charfn.exact_shapley(null, 0.3).values[1]) <= 1e-12
 
     # threshold game: every admissible marginal vanishes, so the partial
     # values are identically zero while the grand coalition is worth 1
     t, p = 6, 0.5
     floor = math.ceil(p * t)
     thr = charfn.CharacteristicFn(range(t), lambda S: float(len(S) >= floor))
-    partial = charfn.exact_partial_shapley(thr, p).values
+    partial = charfn.exact_shapley(thr, p).values
     assert np.all(partial == 0.0)
     assert partial.sum() != 1.0
     assert abs(charfn.exact_shapley(thr).values.sum() - 1.0) <= 1e-12
@@ -122,7 +123,7 @@ def test_criterion_04_on_manifold_query_floor():
     """At p=0.5 no coalition below ceil(t/2)-1 is ever evaluated."""
     for t, seed in ((8, 40), (7, 41)):
         rng = np.random.default_rng(seed)
-        log = charfn.QueryLog(table_game(t, rng))
+        log = QueryLog(table_game(t, rng))
         charfn.partial_shapley(log, 0.5, 10_000, rng)
         assert len(log.sizes) > 10_000
         assert log.min_size >= math.ceil(t / 2) - 1, (t, log.min_size)

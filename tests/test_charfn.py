@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from c4xai import charfn, engine, network
+from oracles import QueryLog, exact_partial_shapley, exact_shapley_by_permutations, subset_sum_loop
 
 
 def additive_game(weights: dict) -> charfn.CharacteristicFn:
@@ -82,7 +83,7 @@ def test_symmetry_of_exact_values():
 def test_permutation_sum_matches_subset_sum():
     nu, _, _ = make_net_game(6)
     by_subset = charfn.exact_shapley(nu)
-    by_perm = charfn.exact_shapley_by_permutations(nu)
+    by_perm = exact_shapley_by_permutations(nu)
     assert by_subset.features == by_perm.features
     assert np.max(np.abs(by_subset.values - by_perm.values)) < 1e-12
     assert by_subset.n_samples == 0
@@ -90,11 +91,9 @@ def test_permutation_sum_matches_subset_sum():
 
 def test_ground_set_limits():
     big = charfn.CharacteristicFn(ground=range(13), fn=len)
-    with pytest.raises(charfn.GroundSetTooLarge):
-        charfn.exact_shapley(big)
-    mid = charfn.CharacteristicFn(ground=range(9), fn=len)
-    with pytest.raises(charfn.GroundSetTooLarge):
-        charfn.exact_shapley_by_permutations(mid)
+    for p in (0.0, 0.5):
+        with pytest.raises(charfn.GroundSetTooLarge):
+            charfn.exact_shapley(big, p)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_sample_shapley_matches_partial_at_p_zero():
 
 def test_partial_sampling_agrees_with_enumeration():
     nu, _, _ = make_net_game(5)
-    exact = charfn.exact_partial_shapley(nu, 0.4).values
+    exact = charfn.exact_shapley(nu, 0.4).values
     est = charfn.partial_shapley(nu, 0.4, 4000, np.random.default_rng(11)).values
     assert np.max(np.abs(est - exact)) < 0.05
 
@@ -149,9 +148,9 @@ def test_partial_linearity_exact():
         range(5), lambda S: 2.0 * t1[frozenset(S)] - 0.5 * t2[frozenset(S)]
     )
     p = 0.4
-    v1 = charfn.exact_partial_shapley(nu1, p).values
-    v2 = charfn.exact_partial_shapley(nu2, p).values
-    vc = charfn.exact_partial_shapley(combo, p).values
+    v1 = charfn.exact_shapley(nu1, p).values
+    v2 = charfn.exact_shapley(nu2, p).values
+    vc = charfn.exact_shapley(combo, p).values
     assert np.max(np.abs(vc - (2.0 * v1 - 0.5 * v2))) < 1e-12
 
 
@@ -160,7 +159,7 @@ def test_partial_symmetry_exact():
         return len(S) ** 1.5 + (2.0 if 4 in S else 0.0)
 
     nu = charfn.CharacteristicFn(range(5), fn)
-    vals = charfn.exact_partial_shapley(nu, 0.4).as_dict()
+    vals = charfn.exact_shapley(nu, 0.4).as_dict()
     # players 0..3 are interchangeable; 4 carries the bonus
     for i in range(3):
         assert abs(vals[i] - vals[i + 1]) < 1e-12
@@ -173,19 +172,16 @@ def test_partial_null_player_exact():
         range(4), lambda S: sum(weights[f] for f in S) ** 2
     )
     # feature 1 changes nothing in any coalition
-    vals = charfn.exact_partial_shapley(nu, 0.3).as_dict()
+    vals = charfn.exact_shapley(nu, 0.3).as_dict()
     assert abs(vals[1]) < 1e-12
 
 
 def test_partial_additive_conditional_recovers_weights():
     weights = {0: 0.5, 1: -1.0, 2: 2.5, 3: 0.25, 4: 1.0}
     nu = charfn.CharacteristicFn(range(5), lambda S: sum(weights[f] for f in S))
-    cond = charfn.exact_partial_shapley(nu, 0.4, conditional=True).as_dict()
-    for f, w in weights.items():
-        assert abs(cond[f] - w) < 1e-12
-    # the unconditional form scales by the admissible fraction
+    # an additive player's partial value is its weight times the admissible fraction
     t, floor = 5, math.ceil(0.4 * 5)
-    raw = charfn.exact_partial_shapley(nu, 0.4).as_dict()
+    raw = charfn.exact_shapley(nu, 0.4).as_dict()
     for f, w in weights.items():
         assert abs(raw[f] - w * (t - floor) / t) < 1e-12
 
@@ -197,7 +193,7 @@ def test_partial_efficiency_counterexample():
     t, p = 6, 0.5
     floor = math.ceil(p * t)
     nu = charfn.CharacteristicFn(range(t), lambda S: float(len(S) >= floor))
-    res = charfn.exact_partial_shapley(nu, p)
+    res = charfn.exact_shapley(nu, p)
     assert np.max(np.abs(res.values)) == 0.0
     full = charfn.exact_shapley(nu)
     assert abs(full.values.sum() - 1.0) < 1e-12
@@ -205,20 +201,53 @@ def test_partial_efficiency_counterexample():
 
 
 def test_partial_p_zero_equals_full_shapley():
-    nu, _, _ = make_net_game(6)
-    full = charfn.exact_shapley(nu).values
-    part = charfn.exact_partial_shapley(nu, 0.0).values
-    assert np.max(np.abs(full - part)) < 1e-12
+    # the subset form at p = 0 against the Shapley values summed term by term
+    games = [make_net_game(6)[0]] + [table_game(t, t) for t in range(13)]
+    for nu in games:
+        diff = charfn.exact_shapley(nu, 0.0).values - subset_sum_loop(nu)
+        assert np.max(np.abs(diff), initial=0) < 1e-12, nu.t
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75])
+def test_exact_shapley_matches_the_permutation_oracle(p):
+    for t in range(9):
+        if math.ceil(p * t) >= t > 0:
+            for exact in (charfn.exact_shapley, exact_partial_shapley):
+                with pytest.raises(charfn.EmptyPermutationClass):
+                    exact(table_game(t, t), p)
+            continue
+        got = charfn.exact_shapley(table_game(t, t), p)
+        ref = exact_partial_shapley(table_game(t, t), p)
+        assert got.features == ref.features and got.p == ref.p == p
+        assert np.max(np.abs(got.values - ref.values), initial=0) <= 1e-12, t
+
+
+def test_exact_shapley_is_efficient_at_p_zero():
+    for t in range(13):
+        nu = table_game(t, 100 + t)
+        phi = charfn.exact_shapley(nu).values
+        assert abs(phi.sum() - (nu.eval_mask((1 << t) - 1) - nu.eval_mask(0))) <= 1e-12, t
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75])
+def test_exact_shapley_queries_each_admissible_coalition_once(p):
+    t = 8
+    floor = math.ceil(p * t)
+    log = QueryLog(table_game(t, 9))
+    charfn.exact_shapley(log, p)
+    assert log.min_size == floor
+    sizes = [bin(m).count("1") for m in range(1 << t)]
+    assert sorted(log.sizes) == sorted(s for s in sizes if s >= floor)
 
 
 def test_empty_permutation_class():
     nu = charfn.CharacteristicFn(range(5), len)
     with pytest.raises(charfn.EmptyPermutationClass):
-        charfn.exact_partial_shapley(nu, 1.0)
+        charfn.exact_shapley(nu, 1.0)
     with pytest.raises(charfn.EmptyPermutationClass):
         charfn.partial_shapley(nu, 0.9, 10, np.random.default_rng(0))  # ceil(4.5)=5
     # one admissible slot is enough
-    charfn.exact_partial_shapley(nu, 0.8)
+    charfn.exact_shapley(nu, 0.8)
 
 
 def test_floor_boundaries():
@@ -233,7 +262,7 @@ def test_floor_boundaries():
 
 def test_sampler_never_queries_below_floor():
     nu, _, _ = make_net_game(8)
-    log = charfn.QueryLog(nu)
+    log = QueryLog(nu)
     p = 0.5
     floor = math.ceil(p * nu.t)
     charfn.partial_shapley(log, p, 300, np.random.default_rng(17))
@@ -244,7 +273,7 @@ def test_sampler_never_queries_below_floor():
 
 def test_plain_sampler_queries_from_empty():
     nu, _, _ = make_net_game(5)
-    log = charfn.QueryLog(nu)
+    log = QueryLog(nu)
     charfn.sample_shapley(log, 20, np.random.default_rng(19))
     assert log.min_size == 0
 
@@ -338,7 +367,7 @@ def test_memoization_counts_unique_coalitions():
         return len(S)
 
     nu = charfn.CharacteristicFn(range(6), fn)
-    charfn.exact_shapley_by_permutations(nu)
+    exact_shapley_by_permutations(nu)
     assert len(calls) == 64  # 2^6 distinct masks despite 720 permutations
 
 

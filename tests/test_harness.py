@@ -331,3 +331,4 @@ class TestSidecar:
         assert meta["checkpoint_sha256"] is None
         assert meta["config_sha256"] is None
         assert meta["seed"] is None
+        assert meta["wall_time_s"] is None
