@@ -2,7 +2,7 @@
 
 None of these is used by the package: the t! permutation enumerations
 are the second formula for ``charfn.exact_shapley``'s subset form, the
-double loop over masks is the subset sum as first written, ``QueryLog``
+double loop over masks sums the p = 0 subset form term by term, ``QueryLog``
 records which coalition sizes an estimator asks for, and
 ``distortion_gradient`` exposes the FW objective's gradient on its own.
 """
