@@ -19,16 +19,17 @@ answers a cache hit itself and hands a miss to ``eval_masks``. A
 network game evaluates its blocks on the calling thread plus one helper
 thread when the BLAS threads leave a usable CPU idle (none when the
 BLAS thread count is not pinned, or in a process pool's worker, see
-``_helper_threads``). Each block is still one ``forward_masks`` call on
-the same grids, so the values, the cache and the counters are those of
-evaluating the blocks in turn.
+``network._helper_threads``). Each block is still one ``forward_masks``
+call on the same grids, so the values, the cache and the counters are
+those of evaluating the blocks in turn. Which block a coalition lands
+in depends on what the game's cache already holds, and a network game's
+value can depend on its block (see ``_NetworkGame``), so values repeat
+for the same sequence of calls on a fresh game, not per coalition.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -126,6 +127,10 @@ class CharacteristicFn:
         Values, cache and counters are those of walking the blocks one
         after the other, whichever thread evaluated a block; a block
         that raises leaves the cache and the counters as they were.
+        A coalition's block depends on this call and on what the cache
+        already holds, and a network game's value can depend on its
+        block (see ``_NetworkGame``): values repeat for one sequence of
+        calls, not per coalition.
         """
         masks = np.asarray(masks).reshape(-1)
         # an empty list reads as float64; Python ints past uint64 as objects
@@ -163,7 +168,18 @@ class CharacteristicFn:
 
 class _NetworkGame(CharacteristicFn):
     """nu_pol / nu_val: a hook call is one ``network.forward_masks`` of
-    the board's full encoding under the block's 0/1 coalition grids."""
+    the board's full encoding under the block's 0/1 coalition grids.
+
+    A coalition's value depends on the block it is evaluated in: a
+    small GEMM's rows, and so a float32 forward's low bits, depend on
+    the other rows of the block. So values are reproducible per
+    sequence of calls, not per coalition. On a C = 8 float32 net and an
+    8-piece board, ``exact_shapley(nu)`` called after
+    ``exact_shapley(nu, 0.5)`` on the same game finds the coalitions
+    below the floor missing and evaluates them in other blocks than a
+    fresh game does; its values differ from the fresh game's by up to
+    2.7e-10 in 1.25e-6 (2e-4 relative).
+    """
 
     def __init__(self, params: network.NetworkParams, board: engine.BoardState, head: str):
         if engine.outcome(board).is_terminal:
@@ -189,12 +205,12 @@ class _NetworkGame(CharacteristicFn):
     def _evaluate_blocks(self, blocks):
         """Each block is one ``_evaluate`` call, as in the sequential
         walk. With two or more blocks and a helper allowed by
-        ``_helper_threads``, the calling thread and one helper thread
+        ``network._helper_threads``, the calling thread and one helper thread
         take block indices in turn from one shared iterator. A thread
         whose block raises drains that iterator, so the other thread
         starts no further block; the helper ends before this returns.
         """
-        if len(blocks) < 2 or not _helper_threads():
+        if len(blocks) < 2 or not network._helper_threads():
             return super()._evaluate_blocks(blocks)
         from concurrent.futures import ThreadPoolExecutor
 
@@ -221,39 +237,6 @@ class _NetworkGame(CharacteristicFn):
             work()
         helper.result()
         return values
-
-
-def _helper_threads() -> int:
-    """Threads that may evaluate network blocks beside the calling one:
-    1 when the usable CPUs number at least twice the BLAS threads, else
-    0. One helper is the count measured (2-core x86-64 host); more on
-    larger hosts are unmeasured. A helper beside 2 BLAS threads made 40
-    Shapley boards slower there (median 5.7 against 4.8 s).
-
-    The BLAS thread count is not asked of the BLAS: it is read from the
-    variables OpenBLAS (numpy's wheels) reads when it loads, in its
-    order OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS. With
-    none set OpenBLAS runs a thread per usable CPU and no helper
-    starts; nor does one when the first one set is not a positive
-    integer. A limit set at
-    runtime, or another BLAS's own variable (MKL_NUM_THREADS), is not
-    seen. A process pool's worker starts no helper: its sibling
-    workers take the other CPUs.
-    """
-    mp = sys.modules.get("multiprocessing")  # loaded in every pool worker
-    if mp is not None and mp.parent_process() is not None:
-        return 0
-    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    value = next((os.environ[name] for name in names if name in os.environ), None)
-    try:
-        blas = int(value)
-    except (TypeError, ValueError):
-        return 0
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return 1 if blas > 0 and cpus >= 2 * blas else 0
 
 
 def nu_pol(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:

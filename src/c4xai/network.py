@@ -32,6 +32,14 @@ nine kernel offsets in offset order, 8 samples at a time (see
 ``conv_input_backward``). ``forward_masks`` on 0/1 masks runs conv2's
 GEMM once per distinct output cell and 5x5 input window, where that
 keeps every bit (see ``_shared_conv2_rows``).
+
+``backward`` runs in two lanes when ``_helper_threads`` allows a helper
+thread: each conv layer's weight gradient goes to the helper as soon
+as that layer's output gradient is known, while the calling thread goes
+on down the input-gradient chain (conv4 to conv1). Each gradient comes
+from the same calls on the same arrays as in one lane, so every bit is
+the same; the helper has finished before ``backward`` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -569,6 +580,8 @@ def backward(
     (guided backprop, DeepLIFT's rescale slopes).
     Returns (param gradient dict, input gradient); without
     ``want_input_grad`` conv1's input gradient is skipped and None.
+    The conv weight gradients run on a helper thread when
+    ``_helper_threads`` allows one (see the module docstring).
     """
     t = params.tensors
     n = trace.x.shape[0]
@@ -608,19 +621,69 @@ def backward(
 
     c = params.arch.conv_channels
     d = d.reshape(n, c, *CONV_HW[-1])
-    for i in range(len(CONV_PADS), 0, -1):
-        z = trace.conv_z[i - 1]
-        d = d * ((z > 0).astype(z.dtype) if relu is None else relu(f"conv{i}", z, d))
-        a_prev = trace.conv_a[i - 2] if i >= 2 else trace.x
-        pad = CONV_PADS[i - 1]
-        if want_param_grads:
-            dw, db = _conv_param_backward(d, a_prev, pad)
-            grads[f"conv{i}_w"] = dw
-            grads[f"conv{i}_b"] = db
-        if i == 1 and not want_input_grad:
-            return grads, None
-        d = conv_input_backward(d, t[f"conv{i}_w"], a_prev.shape[2:], pad)
+    # each conv layer's weight gradient is read by nothing below it, so a
+    # helper thread computes it while this thread goes on down the input
+    # gradients; _conv_param_backward reaches no traced or shared state
+    pool = None
+    if want_param_grads and _helper_threads():
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=1)
+    conv_grads = {}
+    # leaving the block waits for the helper, also when this lane raises
+    with pool or nullcontext():
+        for i in range(len(CONV_PADS), 0, -1):
+            z = trace.conv_z[i - 1]
+            d = d * ((z > 0).astype(z.dtype) if relu is None else relu(f"conv{i}", z, d))
+            a_prev = trace.conv_a[i - 2] if i >= 2 else trace.x
+            pad = CONV_PADS[i - 1]
+            if want_param_grads:
+                if pool is None:
+                    conv_grads[i] = _conv_param_backward(d, a_prev, pad)
+                else:
+                    conv_grads[i] = pool.submit(_conv_param_backward, d, a_prev, pad)
+            if i == 1 and not want_input_grad:
+                d = None
+                break
+            d = conv_input_backward(d, t[f"conv{i}_w"], a_prev.shape[2:], pad)
+    for i, dw_db in conv_grads.items():
+        grads[f"conv{i}_w"], grads[f"conv{i}_b"] = dw_db if pool is None else dw_db.result()
     return grads, d
+
+
+def _helper_threads() -> int:
+    """Threads that may run network work beside the calling one: 1 when
+    the usable CPUs number at least twice the BLAS threads, else 0. Its
+    users are ``backward``'s weight-gradient lane and the coalition
+    blocks of ``charfn._NetworkGame``. One helper is the count measured
+    (2-core x86-64 host); more on larger hosts are unmeasured. A helper
+    beside 2 BLAS threads made 40 Shapley boards slower there (median
+    5.7 against 4.8 s), and a C = 64 ``ppo_update`` too (median 0.18 and
+    0.20 against 0.16 s in two sets of 10 pairs).
+
+    The BLAS thread count is not asked of the BLAS: it is read from the
+    variables OpenBLAS (numpy's wheels) reads when it loads, in its
+    order OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS. With
+    none set OpenBLAS runs a thread per usable CPU and no helper
+    starts; nor does one when the first one set is not a positive
+    integer. A limit set at runtime, or another BLAS's own variable
+    (MKL_NUM_THREADS), is not seen. A process pool's worker starts no
+    helper: its sibling workers take the other CPUs.
+    """
+    mp = sys.modules.get("multiprocessing")  # loaded in every pool worker
+    if mp is not None and mp.parent_process() is not None:
+        return 0
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    value = next((os.environ[name] for name in names if name in os.environ), None)
+    try:
+        blas = int(value)
+    except (TypeError, ValueError):
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return 1 if blas > 0 and cpus >= 2 * blas else 0
 
 
 def action_input_grad(

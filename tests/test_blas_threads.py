@@ -15,7 +15,10 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the 20-game C = 8 run of the `train` golden pin
+# the 20-game C = 8 run of the `train` golden pin. On 2 or more CPUs the
+# 1-thread run computes the conv weight gradients on backward's helper
+# thread and the 2-thread run does not, so this also compares those two
+# lanes.
 TRAIN_SCRIPT = """
 import sys, tempfile
 from c4xai import network, training

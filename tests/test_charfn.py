@@ -515,10 +515,10 @@ def test_counters_on_a_network_game(monkeypatch):
 # --- blocks on helper threads --------------------------------------------------
 
 def shapley_run(make_nu, helpers, monkeypatch, run, record=None):
-    """``run(nu)`` with charfn's helper-thread count fixed to ``helpers``;
+    """``run(nu)`` with the helper-thread count fixed to ``helpers``;
     ``record`` collects the threads that evaluate blocks, and each
     thread's first block waits (10 s at most) until two threads have one."""
-    monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
     nu = make_nu()
     if record is not None:
         evaluate = nu._evaluate
@@ -585,7 +585,7 @@ def test_one_helper_at_a_short_switch_interval_evaluates_every_block_once(monkey
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        monkeypatch.setattr(charfn, "_helper_threads", lambda: 1)
+        monkeypatch.setattr(network, "_helper_threads", lambda: 1)
         nu = make_nu()
         evaluate = nu._evaluate
 
@@ -629,7 +629,7 @@ class FailingGame(charfn._NetworkGame):
 
 @pytest.mark.parametrize("helpers", [1, 0])
 def test_a_failed_block_stops_every_block_and_helper(helpers, monkeypatch):
-    monkeypatch.setattr(charfn, "_helper_threads", lambda: helpers)
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
     _, params, board = make_net_game(10, seed=2)
     nu = FailingGame(params, board, "policy")
     nu.eval_masks(np.arange(10))  # some of the failing call's first block is cached
@@ -667,22 +667,22 @@ def test_helper_threads_take_the_cpus_blas_leaves_idle(env, cpus, helpers, monke
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert charfn._helper_threads() == helpers
+    assert network._helper_threads() == helpers
 
 
 def test_helper_threads_count_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert charfn._helper_threads() == 0
+    assert network._helper_threads() == 0
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert charfn._helper_threads() == 1
+    assert network._helper_threads() == 1
 
 
 def test_a_process_pool_worker_starts_no_helper(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert charfn._helper_threads() == 1
+    assert network._helper_threads() == 1
     fork = multiprocessing.get_context("fork")  # the worker keeps the patched CPU count
     with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        assert pool.submit(charfn._helper_threads).result() == 0
+        assert pool.submit(network._helper_threads).result() == 0

@@ -6,6 +6,8 @@ import hashlib
 import json
 import struct
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -524,6 +526,129 @@ def test_backward_at_logits():
         fd = (logit3(xp) - logit3(xm)) / (2 * step)
         an = g_logit[0, ch, r, c]
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) <= 1e-4
+
+
+# --- two-lane backward ------------------------------------------------------------
+
+def guided_relu(name, z, d):
+    return ((z > 0) & (d > 0)).astype(z.dtype)
+
+
+def backward_in_lane(helpers, monkeypatch, *args, **kwargs):
+    """``network.backward(*args, **kwargs)`` with the helper-thread count
+    fixed to ``helpers``, and the threads that ran a conv weight gradient."""
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
+    threads = set()
+    original = network._conv_param_backward
+
+    def recording(*a):
+        threads.add(threading.get_ident())
+        return original(*a)
+
+    monkeypatch.setattr(network, "_conv_param_backward", recording)
+    try:
+        return network.backward(*args, **kwargs), threads
+    finally:
+        monkeypatch.setattr(network, "_conv_param_backward", original)
+
+
+@pytest.mark.parametrize("n", [1, 13, 37, 181])
+@pytest.mark.parametrize("channels", [8, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_both_backward_lanes_give_the_same_bits(dtype, channels, n, monkeypatch):
+    params = make_params(channels, seed=n, dtype=dtype)
+    rng = np.random.default_rng(channels + n)
+    trace = network.forward(params, rng.random((n, 3, 6, 7)).astype(dtype))
+    seeds = dict(policy_grad=rng.normal(size=(n, 7)), value_grad=rng.normal(size=n))
+    for want_input_grad in (True, False):
+        for relu in (None, guided_relu):
+            kwargs = dict(seeds, relu=relu, want_input_grad=want_input_grad)
+            (one, g_one), one_threads = backward_in_lane(0, monkeypatch, params, trace, **kwargs)
+            (two, g_two), two_threads = backward_in_lane(1, monkeypatch, params, trace, **kwargs)
+            assert one_threads == {threading.get_ident()}
+            assert len(two_threads) == 1 and threading.get_ident() not in two_threads
+            assert list(one) == list(two)
+            assert sorted(one) == sorted(name for name, _ in params.arch.param_specs())
+            for name in one:
+                assert one[name].dtype == two[name].dtype
+                assert one[name].tobytes() == two[name].tobytes(), name
+            if want_input_grad:
+                assert g_one.tobytes() == g_two.tobytes()
+            else:
+                assert g_one is None and g_two is None
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_both_backward_lanes_train_the_golden_checkpoint(helpers, tmp_path, monkeypatch):
+    from test_golden_outputs import GOLDEN
+
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
+    cfg = training.PPOConfig(
+        conv_channels=8, total_games=20, update_every=10, checkpoint_every=10, seed=3
+    )
+    result = training.train(cfg, tmp_path)
+    assert network.file_sha256(result.checkpoint_path) == GOLDEN["train"][0]
+
+
+class WeightGradFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("helpers", [1, 0])
+def test_a_failed_weight_gradient_reaches_the_caller_unchanged(helpers, monkeypatch):
+    params = make_params(8, seed=41, dtype=np.float32)
+    trace = network.forward(params, np.random.default_rng(42).random((13, 3, 6, 7)))
+    failure = WeightGradFailed("conv3")
+    threads = []
+
+    def failing(dout, x_in, pad):
+        threads.append(threading.get_ident())
+        if len(threads) == 2:  # conv3's
+            raise failure
+        return weight_grad(dout, x_in, pad)
+
+    weight_grad = network._conv_param_backward
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
+    monkeypatch.setattr(network, "_conv_param_backward", failing)
+    before = threading.active_count()
+    with pytest.raises(WeightGradFailed) as raised:
+        network.backward(params, trace, value_grad=np.ones(13))
+    assert raised.value is failure
+    assert threading.active_count() == before
+    assert (threading.get_ident() in threads) == (helpers == 0)
+
+
+class HookFailed(Exception):
+    pass
+
+
+def test_a_failed_caller_lane_surfaces_after_the_helper_ends(monkeypatch):
+    params = make_params(8, seed=43, dtype=np.float32)
+    trace = network.forward(params, np.random.default_rng(44).random((13, 3, 6, 7)))
+    events = []
+    weight_grad = network._conv_param_backward
+
+    def slow(dout, x_in, pad):
+        time.sleep(0.2)
+        events.append(("weight gradient", threading.get_ident()))
+        return weight_grad(dout, x_in, pad)
+
+    def failing_relu(name, z, d):
+        if name == "conv3":
+            events.append(("hook failed", threading.get_ident()))
+            raise HookFailed
+        return (z > 0).astype(z.dtype)
+
+    monkeypatch.setattr(network, "_helper_threads", lambda: 1)
+    monkeypatch.setattr(network, "_conv_param_backward", slow)
+    before = threading.active_count()
+    with pytest.raises(HookFailed):
+        network.backward(params, trace, value_grad=np.ones(13), relu=failing_relu)
+    assert threading.active_count() == before
+    # conv4's weight gradient was on the helper when the hook raised at conv3
+    (hook, caller), (wgrad, helper) = events
+    assert hook == "hook failed" and wgrad == "weight gradient"
+    assert caller == threading.get_ident() != helper
 
 
 # --- functional properties -----------------------------------------------------
