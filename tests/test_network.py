@@ -600,6 +600,7 @@ def test_a_failed_weight_gradient_reaches_the_caller_unchanged(helpers, monkeypa
     trace = network.forward(params, np.random.default_rng(42).random((13, 3, 6, 7)))
     failure = WeightGradFailed("conv3")
     threads = []
+    weight_grad = network._conv_param_backward
 
     def failing(dout, x_in, pad):
         threads.append(threading.get_ident())
@@ -607,7 +608,6 @@ def test_a_failed_weight_gradient_reaches_the_caller_unchanged(helpers, monkeypa
             raise failure
         return weight_grad(dout, x_in, pad)
 
-    weight_grad = network._conv_param_backward
     monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
     monkeypatch.setattr(network, "_conv_param_backward", failing)
     before = threading.active_count()
