@@ -191,6 +191,16 @@ def test_shapley_sampled_partial_and_exact(tmp_path, checkpoint):
     assert len(rows) == 4  # header plus one row per placed piece
 
 
+def test_shapley_defaults_to_the_hoeffding_budget(tmp_path, checkpoint):
+    out = tmp_path / "shap.csv"
+    argv = ["shapley", "--checkpoint", checkpoint, "--moves", "3,3,4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    meta = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+    assert charfn.sample_count(0.05, 0.01) == 1060
+    assert "# n_samples=1060" in meta
+    assert "# epsilon=0.05" in meta and "# delta=0.01" in meta
+
+
 def shapley_csv_values(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))

@@ -14,7 +14,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from c4xai import attribution, charfn, engine, fwmask, harness, mcts, network, training
+from c4xai import attribution, charfn, cli, engine, fwmask, harness, mcts, network, training
 
 
 def sha(data) -> str:
@@ -111,6 +111,11 @@ def _outputs(tmp_path) -> dict:
         charfn.nu_pol(params, board), 0.5, 20, np.random.default_rng(9), epsilon=0.2, delta=0.1
     )
     out["shapley_csv"] = file_sha(phi.to_csv(tmp_path / "phi.csv", extra_meta={"board": "b1"}))
+    ckpt = network.save(params, tmp_path / "golden.ckpt")
+    cli_csv = tmp_path / "cli_phi.csv"
+    argv = ["shapley", "--checkpoint", ckpt, "--moves", "3,3,4,2,2,4,5,1", "--seed", "9"]
+    assert cli.main(argv + ["--p", "0", "--samples", "20", "--out", str(cli_csv)]) == 0
+    out["shapley_cli_p0_csv"] = file_sha(cli_csv)
     fw = fwmask.fw_optimize(params, board, fwmask.FWConfig(k=3, iterations=10))
     out["fw_csv"] = file_sha(
         fwmask.result_to_csv(fw, tmp_path / "fw.csv", extra_meta={"board": "b1"})
@@ -168,6 +173,8 @@ GOLDEN = {
     # re-recorded when partial_shapley lost its conditional option and the
     # "# conditional=false" metadata line; the value rows are byte-identical
     "shapley_csv": "7087994fdc3ded060e4cca5771f676a01acb31112f9fc5a9c87fa89e170affec",
+    # the CSV of `c4xai shapley --p 0` on a checkpoint of these params
+    "shapley_cli_p0_csv": "368d8d524e585420543de3564c64dced2b892c9ceebbe62d6ee3164def4320ee",
     "train": (
         "fd414ab7ce750e555025c1b8e7abe412c1cc247b0d3cad3a5c9ca3ddfcf1bf14",
         "ed3cd828e10d8f5f6f84de92cbfd2e80b027167926152b6d7f64a5cd135b1fca",
