@@ -45,7 +45,7 @@ def main():
 
     nu = charfn.nu_pol(params, board)
     n = charfn.sample_count(epsilon=0.1, delta=0.05)
-    sampled = charfn.sample_shapley(nu, n, rng)
+    sampled = charfn.partial_shapley(nu, p=0.0, n_permutations=n, rng=rng)
     show_scores(f"sampled Shapley ({n} permutations)", sampled.as_dict())
 
     partial = charfn.partial_shapley(nu, p=0.5, n_permutations=n, rng=rng)

@@ -281,19 +281,19 @@ def select_top(
 
 
 def _shapley_scorer(params, board, rng, fraction, opts):
-    nu = charfn.nu_pol(params, board)
     p = opts.get("p", 0.5)
     n = opts.get("n")
     if n is None:
         epsilon, delta = opts.get("epsilon", 0.25), opts.get("delta", 0.1)
         n = charfn.sample_count(epsilon, delta)
-    if nu.t == 0:
+    if board.turn == 0:
         return {}
+    nu = charfn.nu_pol(params, board)
     try:
         res = charfn.partial_shapley(nu, p, n, rng)
     except charfn.EmptyPermutationClass:
         # tiny t can leave no admissible position; fall back to plain sampling
-        res = charfn.sample_shapley(nu, n, rng)
+        res = charfn.partial_shapley(nu, 0.0, n, rng)
     return res.as_dict()
 
 

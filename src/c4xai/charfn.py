@@ -6,12 +6,13 @@ whose colour is revealed, and the payoff is either the policy
 probability of the full-information best move (nu_pol) or the value
 estimate (nu_val) on the partially revealed board.
 
-Shapley values come in three flavours: exact values (the subset form
-of the restricted permutation sum, small ground sets only), plain
-permutation sampling with a Hoeffding sample count, and partial
-permutation sampling. Partial values, exact or sampled, query only
-coalitions at or above a size floor ceil(p*t), so every query stays on
-the training manifold of partially-hidden boards.
+Shapley values are exact (``exact_shapley``: the subset form of the
+restricted permutation sum, small ground sets only) or sampled
+(``partial_shapley``: permutation sampling, at a Hoeffding sample count
+from ``sample_count`` or a given one), each for every predecessor
+floor p. Both query only coalitions at or above the size floor
+ceil(p*t), so at p > 0 every query stays on the training manifold of
+partially-hidden boards; p = 0 gives the Shapley values.
 
 Every coalition is evaluated through ``eval_masks``, which plans its
 queries in blocks of BLOCK_ROWS before evaluating any; ``eval_mask``
@@ -336,7 +337,8 @@ def partial_shapley(
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
 ) -> ShapleyResult:
-    """Sampled partial Shapley values.
+    """Sampled partial Shapley values; at p = 0 the plain permutation
+    sampling estimate of the Shapley values (form "sampled").
 
     Each sampled permutation is walked from the coalition of its first
     ceil(p*t) entries upward, so no coalition below the floor is ever
@@ -365,9 +367,8 @@ def partial_shapley(
     marginals = np.diff(nu.eval_masks(walks).reshape(walks.shape), axis=1)
     acc = np.zeros(t)
     np.add.at(acc, perms[:, floor:], marginals)
-    hits = np.bincount(perms[:, floor:].ravel(), minlength=t).astype(float)
-    with np.errstate(invalid="ignore"):
-        cond_mean = np.where(hits > 0, acc / np.maximum(hits, 1), 0.0)
+    hits = np.bincount(perms[:, floor:].ravel(), minlength=t)
+    cond_mean = acc / np.maximum(hits, 1)  # a player never hit has acc = +0.0
     values = cond_mean * ((t - floor) / t if t else 0.0)
     return ShapleyResult(
         features=nu.ground,
@@ -376,23 +377,5 @@ def partial_shapley(
         p=p,
         epsilon=epsilon,
         delta=delta,
-        meta={"form": "partial-sampled"},
+        meta={"form": "partial-sampled" if p else "sampled"},
     )
-
-
-def sample_shapley(
-    nu: CharacteristicFn,
-    n_permutations: int,
-    rng: np.random.Generator,
-    epsilon: Optional[float] = None,
-    delta: Optional[float] = None,
-) -> ShapleyResult:
-    """Plain permutation-sampling Shapley estimate.
-
-    One sampled permutation updates every feature by walking the order
-    once (t + 1 evaluations). Identical to partial_shapley with p = 0,
-    including the consumed random stream.
-    """
-    res = partial_shapley(nu, 0.0, n_permutations, rng, epsilon=epsilon, delta=delta)
-    res.meta["form"] = "sampled"
-    return res

@@ -26,7 +26,13 @@ def _add_common(p, workers=False):
     p.add_argument("--checkpoint", required=True, help="network checkpoint file")
     p.add_argument("--out", default=None, help="output file or directory")
     if workers:
-        p.add_argument("--workers", type=int, default=1, help="parallel game workers")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="parallel game processes; more than 1 is faster only under "
+            "OPENBLAS_NUM_THREADS=1 (unpinned BLAS threads oversubscribe the CPUs)",
+        )
 
 
 def _load_board(args) -> engine.BoardState:
@@ -128,10 +134,7 @@ def cmd_shapley(args) -> int:
         if n is None:
             eps, delta = args.epsilon, args.delta
             n = charfn.sample_count(eps, delta)
-        if args.p != 0:  # partial_shapley rejects p outside [0, 1]
-            result = charfn.partial_shapley(nu, args.p, n, rng, epsilon=eps, delta=delta)
-        else:
-            result = charfn.sample_shapley(nu, n, rng, epsilon=eps, delta=delta)
+        result = charfn.partial_shapley(nu, args.p, n, rng, epsilon=eps, delta=delta)
     out = args.out or "shapley.csv"
     result.to_csv(out)
     _sidecar(args, out)

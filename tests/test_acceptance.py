@@ -69,7 +69,7 @@ def test_criterion_02_shapley_oracle_equivalence():
         run_rng = np.random.default_rng(np.random.SeedSequence([404, run]))
         nu = table_game(6, run_rng)
         exact = charfn.exact_shapley(nu).values
-        est = charfn.sample_shapley(nu, n, run_rng).values
+        est = charfn.partial_shapley(nu, 0.0, n, run_rng).values
         if np.max(np.abs(est - exact)) <= 0.05:
             good += 1
     assert good >= 99, f"only {good}/100 runs inside the 0.05 band"

@@ -322,12 +322,20 @@ def test_shapley_scorer_small_boards():
     assert np.isfinite(list(scores.values())[0])
 
 
-def test_shapley_scorer_empty_board():
+def test_shapley_scorer_empty_board(monkeypatch):
     params, _ = setup_case(73)
+    monkeypatch.setattr(network, "forward_boards", lambda *a, **k: pytest.fail("forward ran"))
     scores = attribution.piece_scores(
         "shapley", params, engine.new_board(), np.random.default_rng(5), opts={"n": 5}
     )
     assert scores == {}
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan")])
+def test_piece_scores_rejects_a_fraction_outside_the_unit_interval(fraction):
+    params, board = setup_case(83, n_moves=4)
+    with pytest.raises(ValueError, match="fraction must lie in"):
+        attribution.piece_scores("gradient", params, board, np.random.default_rng(0), fraction)
 
 
 def test_fw_scorer_budget_follows_fraction():

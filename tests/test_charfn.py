@@ -114,19 +114,16 @@ def test_sampled_values_concentrate():
     n = charfn.sample_count(epsilon, 0.05)
     fails = 0
     for seed in range(20):
-        est = charfn.sample_shapley(nu, n, np.random.default_rng(seed)).values
+        est = charfn.partial_shapley(nu, 0.0, n, np.random.default_rng(seed)).values
         if np.max(np.abs(est - exact)) > epsilon:
             fails += 1
     assert fails <= 1
 
 
-def test_sample_shapley_matches_partial_at_p_zero():
+def test_partial_shapley_labels_its_form():
     nu, _, _ = make_net_game(5)
-    a = charfn.sample_shapley(nu, 50, np.random.default_rng(7))
-    b = charfn.partial_shapley(nu, 0.0, 50, np.random.default_rng(7))
-    assert np.array_equal(a.values, b.values)
-    assert a.meta["form"] == "sampled"
-    assert b.meta["form"] == "partial-sampled"
+    for p, form in ((0.0, "sampled"), (0.5, "partial-sampled")):
+        assert charfn.partial_shapley(nu, p, 50, np.random.default_rng(7)).meta == {"form": form}
 
 
 def test_partial_sampling_agrees_with_enumeration():
@@ -274,7 +271,7 @@ def test_sampler_never_queries_below_floor():
 def test_plain_sampler_queries_from_empty():
     nu, _, _ = make_net_game(5)
     log = QueryLog(nu)
-    charfn.sample_shapley(log, 20, np.random.default_rng(19))
+    charfn.partial_shapley(log, 0.0, 20, np.random.default_rng(19))
     assert log.min_size == 0
 
 

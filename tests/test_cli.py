@@ -196,9 +196,17 @@ def test_shapley_defaults_to_the_hoeffding_budget(tmp_path, checkpoint):
     argv = ["shapley", "--checkpoint", checkpoint, "--moves", "3,3,4", "--out", str(out)]
     assert cli.main(argv) == 0
     meta = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
-    assert charfn.sample_count(0.05, 0.01) == 1060
     assert "# n_samples=1060" in meta
     assert "# epsilon=0.05" in meta and "# delta=0.01" in meta
+
+
+def test_shapley_at_minus_zero_samples_as_at_zero(tmp_path, checkpoint):
+    # the same draws, values and form; the CSV records the p it was given
+    base = ["shapley", "--checkpoint", checkpoint, "--moves", "3,3,4,2", "--samples", "30"]
+    zero, minus = tmp_path / "zero.csv", tmp_path / "minus.csv"
+    assert cli.main(base + ["--p", "0", "--out", str(zero)]) == 0
+    assert cli.main(base + ["--p", "-0.0", "--out", str(minus)]) == 0
+    assert minus.read_text() == zero.read_text().replace("# p=0.0", "# p=-0.0")
 
 
 def shapley_csv_values(path):
@@ -429,6 +437,35 @@ def test_only_curves_and_tournament_take_workers(tmp_path, checkpoint, capsys):
     assert len(out.read_text().strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("......\n" + ".......\n" * 5, "row 0 has 6 characters, expected 7"),
+        (".......\n" * 5 + "...x...\n", "bad character 'x' at row 5, col 3"),
+    ],
+)
+def test_a_misshapen_board_file_exits_2(tmp_path, checkpoint, capsys, grid, message):
+    with pytest.raises(ValueError, match=message):
+        engine.text_to_cells(grid)
+    board = tmp_path / "board.txt"
+    board.write_text(grid)
+    out = tmp_path / "phi.csv"
+    argv = ["shapley", "--checkpoint", checkpoint, "--board", str(board), "--out", str(out)]
+    assert cli.main(argv + ["--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_tournament_fraction_outside_the_unit_interval_exits_2(tmp_path, checkpoint, capsys):
+    # nothing in cmd_tournament checks it: attribution.piece_scores rejects it in the first game
+    out = tmp_path / "rr.csv"
+    argv = ["tournament", "--checkpoint", checkpoint, "--methods", "gradient,random"]
+    assert cli.main(argv + ["--games-per-pair", "1", "--fraction", "1.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fraction must lie in [0, 1], got 1.5" in err and "Traceback" not in err
+    assert not out.exists()
+
 # ---------------------------------------------------------------------------
 # failure paths and exit codes
 # ---------------------------------------------------------------------------
@@ -610,6 +647,9 @@ ORACLE_BROKEN = 'import sys\nsys.stdin.readline()\nprint("NO IDEA")\nsys.stdout.
 ORACLE_MALFORMED = (
     'import sys\nsys.stdin.readline()\nprint("MOVE 2 SCORE 1.5")\nsys.stdout.flush()\n'
 )
+ORACLE_LONG_SCORE = (  # past int()'s 4,300-digit limit
+    'import sys\nsys.stdin.readline()\nprint("MOVE 2 SCORE " + "9" * 5000)\nsys.stdout.flush()\n'
+)
 
 
 def test_curves_against_external_oracle(tmp_path, checkpoint):
@@ -654,4 +694,21 @@ def test_malformed_oracle_reply_exits_3_without_traceback(tmp_path, checkpoint, 
     captured = capsys.readouterr()
     assert code == 3
     assert "oracle error:" in captured.err and "non-integer score" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_oracle_score_past_the_int_digit_limit_exits_3(tmp_path, checkpoint, capsys):
+    script = tmp_path / "oracle_long_score.py"
+    script.write_text(ORACLE_LONG_SCORE)
+    code = cli.main(
+        [
+            "curves", "--checkpoint", checkpoint,
+            "--opponent", f"oracle:{sys.executable} {script}",
+            "--fractions", "1.0", "--games", "2",
+            "--out", str(tmp_path / "curve.csv"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "oracle error:" in captured.err and "score too long" in captured.err
     assert "Traceback" not in captured.err + captured.out

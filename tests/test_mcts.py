@@ -476,6 +476,13 @@ class StubProcess:
         return None
 
 
+def test_a_score_past_the_int_digit_limit_is_an_oracle_error():
+    oracle = mcts.ExternalOracle(["never-started"])
+    oracle._proc = StubProcess(b"MOVE 0 SCORE " + b"9" * 5000 + b"\n")
+    with pytest.raises(mcts.OracleError, match="score too long"):
+        oracle.best_move(engine.new_board())
+
+
 # integers in forms int() may or may not take: signs, padding, huge
 # values, underscores, non-ASCII digits, floats, hex
 ODD_INTS = st.one_of(

@@ -4,6 +4,7 @@ central finite differences."""
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import tempfile
 import threading
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4xai import attribution, engine, network, training
+from c4xai import attribution, cli, engine, network, training
 
 
 def make_params(channels=8, seed=0, dtype=np.float64):
@@ -1098,6 +1099,34 @@ def test_pack_rebuilds_the_saved_file():
     header = SMALL_CKPT[_HEADER_AT : _HEADER_AT + _HEADER_LEN]
     assert pack(header, SMALL_PAYLOAD) == SMALL_CKPT
     assert load_bytes(SMALL_CKPT).arch.conv_channels == 1
+
+
+def names_mismatch_payload(message) -> bytes:
+    """SMALL_CKPT with a valid header and checksum whose parameter names
+    and payload disagree in the way ``message`` names."""
+    header = json.loads(json.dumps(SMALL_HEADER))
+    order, payload = header["param_order"], SMALL_PAYLOAD
+    if message == "unexpected parameter 'bogus_w'":
+        order[0] = "bogus_w"
+    elif message == "trailing bytes in payload":
+        payload += bytes(4)
+    else:  # the last tensor's name and bytes both gone
+        itemsize = np.dtype(network._DTYPE_TAGS[header["dtype"]]).itemsize
+        payload = payload[: -math.prod(header["shapes"][order.pop()]) * itemsize]
+    return pack(json.dumps(header).encode(), payload)
+
+
+@pytest.mark.parametrize(
+    "message", ["unexpected parameter 'bogus_w'", "trailing bytes in payload", "missing parameters"]
+)
+def test_load_rejects_names_that_do_not_match_the_payload(tmp_path, capsys, message):
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(names_mismatch_payload(message))
+    with pytest.raises(network.CorruptPayload, match=message):
+        network.load(path)
+    assert cli.main(["benchmark", "--checkpoint", str(path), "--games", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 @settings(max_examples=300, deadline=None)
