@@ -53,9 +53,9 @@ def test_a_deleted_name_is_reported():
         "from c4xai import charfn\n"
         "from c4xai.charfn import no_such_function\n"
         "charfn.partial_shapley(nu, 0.0, 5, rng)\n"
-        "charfn.sample_shapley(nu, 5, rng)\n"
+        "charfn.retired_sampler(nu, 5, rng)\n"
     )
     assert missing_names(ast.parse(source)) == [
         "c4xai.charfn.no_such_function",
-        "c4xai.charfn.sample_shapley",
+        "c4xai.charfn.retired_sampler",
     ]
