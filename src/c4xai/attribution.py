@@ -251,6 +251,14 @@ def aggregate(smap: SaliencyMap, board: engine.BoardState) -> dict:
     }
 
 
+def check_fraction(fraction) -> float:
+    """``fraction`` as a float; ValueError outside [0, 1] and for NaN."""
+    fraction = float(fraction)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+    return fraction
+
+
 def select_top(
     scores: dict,
     fraction: Optional[float] = None,
@@ -329,8 +337,7 @@ def piece_scores(
     opts: Optional[dict] = None,
 ) -> dict:
     """A masker's per-piece scores; ``fraction`` sets the FW budget k."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+    check_fraction(fraction)
     opts = opts or {}
     if method in _SCORERS:
         return _SCORERS[method](params, board, rng, fraction, opts)

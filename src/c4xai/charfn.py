@@ -19,13 +19,13 @@ queries in blocks of BLOCK_ROWS before evaluating any; ``eval_mask``
 answers a cache hit itself and hands a miss to ``eval_masks``. A
 network game evaluates its blocks on the calling thread plus one helper
 thread when the BLAS threads leave a usable CPU idle (none when the
-BLAS thread count is not pinned, or in a process pool's worker, see
-``network._helper_threads``). Each block is still one ``forward_masks``
-call on the same grids, so the values, the cache and the counters are
-those of evaluating the blocks in turn. Which block a coalition lands
-in depends on what the game's cache already holds, and a network game's
-value can depend on its block (see ``_NetworkGame``), so values repeat
-for the same sequence of calls on a fresh game, not per coalition.
+BLAS thread count is not pinned, see ``network._helper_threads``).
+Each block is still one ``forward_masks`` call on the same grids, so
+the values, the cache and the counters are those of evaluating the
+blocks in turn. Which block a coalition lands in depends on what the
+game's cache already holds, and a network game's value can depend on
+its block (see ``_NetworkGame``), so values repeat for the same
+sequence of calls on a fresh game, not per coalition.
 """
 
 from __future__ import annotations

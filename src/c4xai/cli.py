@@ -21,18 +21,10 @@ from . import attribution, charfn, engine, fwmask, harness, mcts, network, train
 from .csvio import write_csv
 
 
-def _add_common(p, workers=False):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--checkpoint", required=True, help="network checkpoint file")
     p.add_argument("--out", default=None, help="output file or directory")
-    if workers:
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="parallel game processes; more than 1 is faster only under "
-            "OPENBLAS_NUM_THREADS=1 (unpinned BLAS threads oversubscribe the CPUs)",
-        )
 
 
 def _load_board(args) -> engine.BoardState:
@@ -159,13 +151,9 @@ def cmd_fw(args) -> int:
     return 0
 
 
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-
-
 def cmd_saliency_dump(args) -> int:
-    _check_fraction(args.fraction)  # map methods ignore it, but a bad value is still bad input
+    # map methods ignore the fraction, but a bad value is still bad input
+    attribution.check_fraction(args.fraction)
     params = network.load(args.checkpoint)
     board = _load_board(args)
     rng = np.random.default_rng(args.seed)
@@ -185,7 +173,8 @@ def cmd_saliency_dump(args) -> int:
 
 
 def cmd_groundtruth(args) -> int:
-    _check_fraction(args.fraction)  # before harvesting, which can play thousands of games
+    # before harvesting, which can play thousands of games
+    attribution.check_fraction(args.fraction)
     params = network.load(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     cases = harness.harvest_ground_truth(params, args.cases, rng, confidence=args.confidence)
@@ -217,13 +206,7 @@ def cmd_curves(args) -> int:
     fractions = [float(f) for f in args.fractions.split(",")]
     try:
         rows = harness.info_perf_curve(
-            params,
-            args.selector,
-            opponent,
-            fractions,
-            args.games,
-            seed=args.seed,
-            workers=args.workers,
+            params, args.selector, opponent, fractions, args.games, seed=args.seed
         )
     finally:
         if oracle is not None:
@@ -244,12 +227,7 @@ def cmd_tournament(args) -> int:
     params = network.load(args.checkpoint)
     methods = args.methods.split(",") if args.methods else list(attribution.method_names())
     result = harness.round_robin(
-        methods,
-        params,
-        args.games_per_pair,
-        fraction=args.fraction,
-        seed=args.seed,
-        workers=args.workers,
+        methods, params, args.games_per_pair, fraction=args.fraction, seed=args.seed
     )
     out = args.out or "tournament.csv"
     result.to_csv(out)
@@ -326,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_groundtruth)
 
     p = sub.add_parser("curves", help="win rate against revealed fraction")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--selector", default="random")
     p.add_argument(
         "--opponent",
@@ -338,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("tournament", help="round robin between maskers")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--methods", default=None, help="comma list, default all")
     p.add_argument("--games-per-pair", type=int, default=100)
     p.add_argument("--fraction", type=float, default=0.5)

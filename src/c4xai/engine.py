@@ -4,12 +4,16 @@ Boards are immutable values. Rows are indexed bottom-up (row 0 is the
 bottom row), columns left to right. Coalitions of revealed colour
 features are sets of (row, col) coordinates over occupied cells, with
 the canonical feature order being column-major, bottom-up.
+Every game runs through ``play_lockstep``, and every seeded series of
+games (matches, curves, MCTS benchmarks) through ``play_series``, in
+one process; a series repeats bit for bit for the same seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import cycle
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -237,35 +241,33 @@ def result_for(out: Outcome, offender: Optional[int], colour: int) -> str:
     return "win" if out.kind == _WIN_KIND[colour] else "loss"
 
 
-def _series_game(job):
-    """One game of ``play_series``: (A's result, B's result, game length)."""
-    make_a, make_b, idx, ss = job
-    rng = np.random.default_rng(ss)
-    colour_a = RED if idx % 2 == 0 else BLUE
-    colour_b = other(colour_a)
-    final, out, offender = play({colour_a: make_a(rng), colour_b: make_b(rng)})
-    return (
-        result_for(out, offender, colour_a),
-        result_for(out, offender, colour_b),
-        final.turn,
-    )
+def play_series(make_a: Callable, make_b: Callable, seeds) -> list:
+    """One game per SeedSequence in ``seeds``, all in lockstep, A playing
+    red in even-numbered games. ``make_a(rngs)`` and ``make_b(rngs)``
+    each return a ``play_lockstep`` chooser that moves game i with
+    ``rngs[i]`` alone, in the order the game would draw on its own.
+    A network chooser's float32 forward over one ply's boards can move
+    in its low bits with the games that share the ply (as self-play's
+    with ``update_every``), so results repeat per (seeds, game count).
+    Returns (A's result, B's result, game length) per seed, in order.
+    """
+    rngs = [np.random.default_rng(ss) for ss in seeds]
+    choosers = (make_a(rngs), make_b(rngs))
 
+    def choose(indices, boards):
+        turn = boards[0].turn  # one ply's boards share a turn; A moves where i has its parity
+        cols = {}
+        for side, chooser in enumerate(choosers):
+            ks = [k for k, i in enumerate(indices) if (i + turn) % 2 == side]
+            if ks:
+                cols.update(zip(ks, chooser([indices[k] for k in ks], [boards[k] for k in ks])))
+        return [cols[k] for k in range(len(indices))]
 
-def play_series(make_a: Callable, make_b: Callable, seeds, workers: int = 1) -> list:
-    """One game per SeedSequence in ``seeds`` between ``make_a(rng)`` and
-    ``make_b(rng)``, both built on the game's own rng, A playing red in
-    even-numbered games. Games run in a process pool when workers > 1;
-    either way one (A's result, B's result, game length) comes back per
-    seed, in seed order, each result as ``result_for`` gives it."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(make_a, make_b, i, ss) for i, ss in enumerate(seeds)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # kept off `import c4xai`
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_series_game, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [_series_game(job) for job in jobs]
+    games = zip(cycle((RED, BLUE)), play_lockstep(choose, len(rngs)))
+    return [
+        (result_for(out, offender, colour), result_for(out, offender, other(colour)), final.turn)
+        for colour, (final, out, offender) in games
+    ]
 
 
 def encode(board: BoardState, revealed: Optional[Iterable] = None) -> np.ndarray:

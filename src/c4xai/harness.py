@@ -8,11 +8,10 @@ picks its move from the masked view by sampling (non-competitive play).
 Colours alternate between games; an illegal move loses the game for the
 offender and is also tallied separately.
 
-Matches, curves and ``play_vs_random`` play their games through
-``engine.play_series``, which scores each game per colour with
-``engine.result_for``. All randomness flows from one root seed through
-per-game child seeds, so results are identical for any worker count
-and bit-exact on reruns.
+Matches, curves and ``play_vs_random`` play their games in lockstep
+through ``engine.play_series``, one forward per ply for a network side.
+All randomness flows from one root seed through per-game child rngs,
+so results are bit-exact on reruns with the same seed and game count.
 """
 
 from __future__ import annotations
@@ -134,31 +133,39 @@ def masked_policy_mover(
     params: network.NetworkParams,
     method: Optional[str],
     fraction: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     competitive: bool = False,
     opts: Optional[dict] = None,
 ) -> Callable:
-    """The masker/player pipeline as a move function; ``method`` None
-    plays on the full-information board."""
+    """The masker/player pipeline as a ``play_series`` chooser: game i
+    selects and samples with ``rngs[i]``, around one forward for all
+    boards; ``method`` None plays on the full-information board."""
 
-    def move(board):
-        revealed = None
+    def choose(indices, boards):
+        revealed = [None] * len(boards)
         if method is not None:
-            revealed = attribution.select_features(method, params, board, fraction, rng, opts=opts)
-        policy = network.forward_boards(params, [board], [revealed]).policy[0]
+            revealed = [
+                attribution.select_features(method, params, board, fraction, rngs[i], opts=opts)
+                for i, board in zip(indices, boards)
+            ]
+        policies = network.forward_boards(params, boards, revealed).policy
         if competitive:
-            return int(np.argmax(policy))
-        return network.sample_action(policy, rng)
+            return np.argmax(policies, axis=1).tolist()
+        return [network.sample_action(policy, rngs[i]) for i, policy in zip(indices, policies)]
 
-    return move
+    return choose
 
 
-def random_mover(rng: np.random.Generator) -> Callable:
-    def move(board):
-        legal = board.legal_moves()
-        return int(legal[int(rng.integers(len(legal)))])
+def random_mover(rngs: Sequence[np.random.Generator]) -> Callable:
 
-    return move
+    def choose(indices, boards):
+        cols = []
+        for i, board in zip(indices, boards):
+            legal = board.legal_moves()
+            cols.append(int(legal[int(rngs[i].integers(len(legal)))]))
+        return cols
+
+    return choose
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +215,19 @@ def play_match(
     opts_a: Optional[dict] = None,
     opts_b: Optional[dict] = None,
 ) -> MatchResult:
-    """Masker-vs-masker match; method A moves first in ceil(n/2) games."""
+    """Masker-vs-masker match; method A moves first in ceil(n/2) games.
+    ``workers`` accepts only 1; it stays while ``perfbench/workloads.py``
+    passes it."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
+    attribution.check_fraction(fraction)  # the input masker would not reach the check
     make_a, make_b = (
         partial(masked_policy_mover, params, method, fraction, competitive=competitive, opts=opts)
         for method, opts in ((method_a, opts_a), (method_b, opts_b))
     )
-    games = engine.play_series(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games), workers)
+    games = engine.play_series(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games))
     results_a = [a for a, _, _ in games]
     results_b = [b for _, b, _ in games]
     return MatchResult(
@@ -270,7 +282,6 @@ def round_robin(
     n_games_per_pair: int,
     fraction: float = 0.5,
     seed: int = 0,
-    workers: int = 1,
 ) -> RoundRobinResult:
     """Every unordered pair once; no self-pairings."""
     methods = tuple(methods)
@@ -283,9 +294,7 @@ def round_robin(
     matches = []
     for (ma, mb), ss in zip(pairs, pair_seeds):
         sub_seed = int(ss.generate_state(1)[0])
-        matches.append(
-            play_match(ma, mb, params, n_games_per_pair, fraction, seed=sub_seed, workers=workers)
-        )
+        matches.append(play_match(ma, mb, params, n_games_per_pair, fraction, seed=sub_seed))
     return RoundRobinResult(methods=methods, matches=matches, n_games_per_pair=n_games_per_pair)
 
 
@@ -293,16 +302,15 @@ def round_robin(
 # information-performance curves and simple benchmarks
 # ---------------------------------------------------------------------------
 
-def _opponent_mover(opponent, params, rng):
+def _opponent_mover(opponent, params, rngs):
     if opponent == "self":
-        return masked_policy_mover(params, None, 1.0, rng)
+        return masked_policy_mover(params, None, 1.0, rngs)
     if opponent == "random":
-        return random_mover(rng)
+        return random_mover(rngs)
     if isinstance(opponent, tuple) and opponent and opponent[0] == "mcts":
-        config = mcts.MCTSConfig(simulations=int(opponent[1]))
-        return lambda board: mcts.mcts_move(board, config, rng)
+        return mcts.search_mover(mcts.MCTSConfig(simulations=int(opponent[1])), rngs)
     if hasattr(opponent, "best_move"):
-        return lambda board: opponent.best_move(board)[0]
+        return lambda _, boards: [opponent.best_move(board)[0] for board in boards]
     raise ValueError(f"unknown opponent {opponent!r}")
 
 
@@ -313,31 +321,29 @@ def info_perf_curve(
     fractions: Iterable[float],
     n_games: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> list:
     """Win rate (and mean game length) per revealed fraction.
 
     ``selector`` is any registered method; 'random' reproduces uniform
     random hiding. ``opponent`` is 'self' (full-information twin),
     'random', ('mcts', sims), or a move oracle: any object whose
-    ``best_move(board)`` returns (column, score or None). An oracle is
-    always played in this process.
+    ``best_move(board)`` returns (column, score or None). Every fraction
+    is checked before the first game.
     """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
-    if hasattr(opponent, "best_move"):
-        workers = min(workers, 1)  # an invalid count stays invalid
+    fractions = [attribution.check_fraction(f) for f in fractions]
     make_opponent = partial(_opponent_mover, opponent, params)
     rows = []
     for f_idx, fraction in enumerate(fractions):
         # seed keyed on (seed, fraction index): fractions can be re-run singly
         seeds = np.random.SeedSequence([seed, f_idx]).spawn(n_games)
-        make_agent = partial(masked_policy_mover, params, selector, float(fraction))
-        games = engine.play_series(make_agent, make_opponent, seeds, workers)
+        make_agent = partial(masked_policy_mover, params, selector, fraction)
+        games = engine.play_series(make_agent, make_opponent, seeds)
         stats = mcts.WinStats.tally([agent for agent, _, _ in games], seeds)
         rows.append(
             {
-                "fraction": float(fraction),
+                "fraction": fraction,
                 "n_games": n_games,
                 "wins": stats.wins,
                 "draws": stats.draws,
@@ -363,7 +369,7 @@ def play_vs_random(
     """Competitive (argmax) full-information agent against a uniform
     random mover, colours alternating."""
     seeds = np.random.SeedSequence(seed).spawn(n_games)
-    games = engine.play_series(lambda _: partial(mcts.agent_move, params), random_mover, seeds)
+    games = engine.play_series(lambda _: mcts.argmax_chooser(params), random_mover, seeds)
     return mcts.WinStats.tally([agent for agent, _, _ in games], seeds)
 
 

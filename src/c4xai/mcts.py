@@ -11,9 +11,9 @@ remaining ply; they are cross-checked against the authoritative engine
 in the test suite.
 
 ``benchmark`` plays a trained agent against the search through
-``engine.play_series``. A move oracle is any object with
-best_move(board) -> (column, score|None); an external perfect solver
-plugs in as one over a line protocol on standard streams.
+``engine.play_series``, all games in lockstep. A move oracle is any
+object with best_move(board) -> (column, score|None); an external
+perfect solver plugs in as one over a line protocol on standard streams.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -219,6 +220,11 @@ def mcts_move(board: engine.BoardState, config: MCTSConfig, rng: np.random.Gener
     return mcts_search(board, config, rng).column
 
 
+def search_mover(config: MCTSConfig, rngs) -> Callable:
+    """The search as a ``play_series`` chooser, game i on ``rngs[i]``."""
+    return lambda indices, boards: [mcts_move(b, config, rngs[i]) for i, b in zip(indices, boards)]
+
+
 # ---------------------------------------------------------------------------
 # benchmarking a trained agent against the search
 # ---------------------------------------------------------------------------
@@ -251,9 +257,10 @@ class WinStats:
         )
 
 
-def agent_move(params: network.NetworkParams, board: engine.BoardState) -> int:
-    """Competitive play: the most likely action under full information."""
-    return int(np.argmax(network.forward_boards(params, [board]).policy[0]))
+def argmax_chooser(params: network.NetworkParams) -> Callable:
+    """Competitive play as a ``play_series`` chooser: the most likely
+    action under full information, one forward per ply."""
+    return lambda _, boards: np.argmax(network.forward_boards(params, boards).policy, 1).tolist()
 
 
 def benchmark(
@@ -266,9 +273,7 @@ def benchmark(
         raise ValueError("n_games must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n_games)
     games = engine.play_series(
-        lambda _: partial(agent_move, params),
-        lambda game_rng: lambda board: mcts_move(board, mcts_config, game_rng),
-        seeds,
+        lambda _: argmax_chooser(params), partial(search_mover, mcts_config), seeds
     )
     return WinStats.tally([agent for agent, _, _ in games], seeds)
 
@@ -279,6 +284,7 @@ def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
     record = [int(c) for c in game_record]
     if len(record) != 41:
         raise IllegalRecord(f"expected 41 moves, got {len(record)}")
+    choose = argmax_chooser(params)
     board = engine.new_board()
     count = 0
     for i, col in enumerate(record):
@@ -286,7 +292,7 @@ def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
             raise IllegalRecord(f"game over before move {i}")
         if col not in board.legal_moves():
             raise IllegalRecord(f"illegal move {col} at ply {i}")
-        if agent_move(params, board) == col:
+        if choose([0], [board]) == [col]:
             count += 1
         board = engine.apply_move(board, col)
     return count

@@ -48,7 +48,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -667,12 +666,8 @@ def _helper_threads() -> int:
     none set OpenBLAS runs a thread per usable CPU and no helper
     starts; nor does one when the first one set is not a positive
     integer. A limit set at runtime, or another BLAS's own variable
-    (MKL_NUM_THREADS), is not seen. A process pool's worker starts no
-    helper: its sibling workers take the other CPUs.
+    (MKL_NUM_THREADS), is not seen.
     """
-    mp = sys.modules.get("multiprocessing")  # loaded in every pool worker
-    if mp is not None and mp.parent_process() is not None:
-        return 0
     names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     value = next((os.environ[name] for name in names if name in os.environ), None)
     try:

@@ -3,8 +3,9 @@
 None of these is used by the package: the t! permutation enumerations
 are the second formula for ``charfn.exact_shapley``'s subset form, the
 double loop over masks sums the p = 0 subset form term by term, ``QueryLog``
-records which coalition sizes an estimator asks for, and
-``distortion_gradient`` exposes the FW objective's gradient on its own.
+records which coalition sizes an estimator asks for,
+``distortion_gradient`` exposes the FW objective's gradient on its own,
+and ``play_series_one_by_one`` plays a series one game at a time.
 """
 
 import math
@@ -93,3 +94,29 @@ def distortion_gradient(
     """Exact gradient of the distortion w.r.t. the mask entries."""
     _, grad = fwmask._Objective(params, board).value_and_grad(np.asarray(m, dtype=float))
     return grad
+
+
+def play_series_one_by_one(make_a, make_b, seeds) -> list:
+    """``engine.play_series`` without lockstep: one ``engine.play`` per
+    SeedSequence, with movers built on that game's rng alone and A red
+    in even-numbered games."""
+    games = []
+    for i, ss in enumerate(seeds):
+        rngs = [np.random.default_rng(ss)]
+        choose_a, choose_b = make_a(rngs), make_b(rngs)
+        colour_a = engine.RED if i % 2 == 0 else engine.BLUE
+        colour_b = engine.other(colour_a)
+        final, out, offender = engine.play(
+            {
+                colour_a: lambda board: choose_a([0], [board])[0],
+                colour_b: lambda board: choose_b([0], [board])[0],
+            }
+        )
+        games.append(
+            (
+                engine.result_for(out, offender, colour_a),
+                engine.result_for(out, offender, colour_b),
+                final.turn,
+            )
+        )
+    return games

@@ -1,12 +1,10 @@
 """Shapley machinery against small games with known closed forms."""
 
 import math
-import multiprocessing
 import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -675,11 +673,3 @@ def test_helper_threads_count_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert network._helper_threads() == 1
 
-
-def test_a_process_pool_worker_starts_no_helper(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert network._helper_threads() == 1
-    fork = multiprocessing.get_context("fork")  # the worker keeps the patched CPU count
-    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        assert pool.submit(network._helper_threads).result() == 0

@@ -418,23 +418,17 @@ def test_tournament_csv(tmp_path, checkpoint, capsys):
     assert "random" in capsys.readouterr().out
 
 
-def test_only_curves_and_tournament_take_workers(tmp_path, checkpoint, capsys):
-    mask = tmp_path / "mask.csv"
+def test_curves_takes_no_workers_option(tmp_path, checkpoint, capsys):
+    out = tmp_path / "curve.csv"
     with pytest.raises(SystemExit) as exc:
         cli.main(
-            ["fw", "--checkpoint", checkpoint, "--moves", "3", "--workers", "2", "--out", str(mask)]
+            [
+                "curves", "--checkpoint", checkpoint, "--fractions", "1", "--games", "2",
+                "--workers", "2", "--out", str(out),
+            ]
         )
     assert exc.value.code == 2
-    assert not mask.exists()
-    out = tmp_path / "tour.csv"
-    code = cli.main(
-        [
-            "tournament", "--checkpoint", checkpoint, "--methods", "random,input",
-            "--games-per-pair", "2", "--workers", "2", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -458,7 +452,7 @@ def test_a_misshapen_board_file_exits_2(tmp_path, checkpoint, capsys, grid, mess
 
 
 def test_a_tournament_fraction_outside_the_unit_interval_exits_2(tmp_path, checkpoint, capsys):
-    # nothing in cmd_tournament checks it: attribution.piece_scores rejects it in the first game
+    # harness.play_match rejects it before the first game
     out = tmp_path / "rr.csv"
     argv = ["tournament", "--checkpoint", checkpoint, "--methods", "gradient,random"]
     assert cli.main(argv + ["--games-per-pair", "1", "--fraction", "1.5", "--out", str(out)]) == 2
@@ -545,6 +539,28 @@ def test_curves_without_games_exits_2(tmp_path, checkpoint, capsys, games):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fractions", ["5", "0.5,nan", "1,-0.5"])
+def test_a_curve_fraction_outside_the_unit_interval_exits_2(
+    tmp_path, checkpoint, capsys, monkeypatch, fractions
+):
+    def no_games(*args, **kwargs):
+        raise AssertionError("a game started")
+
+    monkeypatch.setattr(engine, "play_series", no_games)
+    out = tmp_path / "curve.csv"
+    code = cli.main(
+        [
+            "curves", "--checkpoint", checkpoint, "--selector", "input", "--games", "2",
+            "--fractions", fractions, "--out", str(out),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "fraction must lie in [0, 1]" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
 def test_exact_shapley_on_a_large_board_exits_2(tmp_path, checkpoint):
     moves = ",".join(str(c) for c in [0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5])
     code = cli.main(
@@ -581,7 +597,6 @@ MALFORMED = {
     "directory as config": (2, "train --config {dir}"),
     "directory as out": (2, "fw --moves 3 --iterations 1 --out {dir}"),
     "empty oracle command": (3, "curves --opponent oracle: --fractions 1 --games 1"),
-    "no workers": (2, "curves --workers 0 --fractions 1 --games 1"),
     "repeated tournament method": (2, "tournament --methods random,random --games-per-pair 1"),
     "no groundtruth cases": (2, "groundtruth --methods random --cases 0 --confidence 0"),
     "negative groundtruth cases": (2, "groundtruth --methods random --cases -1 --confidence 0"),

@@ -464,7 +464,7 @@ def test_random_playouts_big_batch():
 
 
 def test_importing_c4xai_loads_no_process_pool():
-    # play_series imports its process pool only when it runs one
+    # no c4xai module starts processes; importing the package loads no pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -3,14 +3,17 @@
 Scoring is pinned with synthetic cases where the right answer is forced
 (an oracle scorer must hit 3/3, an anti-oracle 0/3); the match and curve
 plumbing is checked for count identities, colour alternation, and
-bit-exact reproducibility across reruns and worker counts.
+bit-exact reproducibility across reruns; lockstep series against games
+played one at a time (``oracles.play_series_one_by_one``).
 """
 
 import json
 import platform
+from functools import partial
 
 import numpy as np
 import pytest
+from oracles import play_series_one_by_one
 
 import c4xai
 from c4xai import attribution, engine, harness, network
@@ -159,10 +162,19 @@ class TestPlayMatch:
         b = harness.play_match("random", "random", params, n_games=6, seed=11)
         assert a == b
 
-    def test_worker_count_does_not_change_the_result(self, params):
-        serial = harness.play_match("random", "input", params, n_games=8, seed=4, workers=1)
-        pooled = harness.play_match("random", "input", params, n_games=8, seed=4, workers=2)
-        assert serial == pooled
+    def test_workers_accepts_only_one(self, params):
+        one = harness.play_match("random", "input", params, n_games=2, seed=4, workers=1)
+        assert one == harness.play_match("random", "input", params, n_games=2, seed=4)
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                harness.play_match("random", "input", params, n_games=2, workers=workers)
+
+    @pytest.mark.parametrize("fraction", [7.0, -0.5, float("nan")])
+    def test_fraction_is_checked_before_any_game(self, params, monkeypatch, fraction):
+        # the input masker reveals everything and never reads its fraction
+        monkeypatch.setattr(engine, "play_series", no_games)
+        with pytest.raises(ValueError, match="fraction must lie in"):
+            harness.play_match("input", "input", params, n_games=2, fraction=fraction)
 
     def test_zero_games_rejected(self, params):
         with pytest.raises(ValueError):
@@ -232,14 +244,11 @@ class TestCurves:
         )
         assert alone[0] == both[0]
 
-    def test_worker_count_does_not_change_rows(self, params):
-        serial = harness.info_perf_curve(
-            params, "random", "random", fractions=[0.5], n_games=8, seed=3, workers=1
-        )
-        pooled = harness.info_perf_curve(
-            params, "random", "random", fractions=[0.5], n_games=8, seed=3, workers=2
-        )
-        assert serial == pooled
+    @pytest.mark.parametrize("fractions", [[5.0], [0.5, float("nan")], [0.0, -0.1]])
+    def test_every_fraction_is_checked_before_any_game(self, params, monkeypatch, fractions):
+        monkeypatch.setattr(engine, "play_series", no_games)
+        with pytest.raises(ValueError, match="fraction must lie in"):
+            harness.info_perf_curve(params, "input", "random", fractions, n_games=2)
 
     def test_search_opponent_runs(self, params):
         rows = harness.info_perf_curve(
@@ -247,14 +256,9 @@ class TestCurves:
         )
         assert rows[0]["n_games"] == 2
 
-    def test_oracle_opponent_skips_the_pool_but_still_runs(self, params):
-        class FirstLegalOracle:
-            def best_move(self, board):
-                return board.legal_moves()[0], None
-
-        oracle = FirstLegalOracle()
+    def test_oracle_opponent_runs(self, params):
         rows = harness.info_perf_curve(
-            params, "random", oracle, fractions=[1.0], n_games=2, seed=0, workers=4
+            params, "random", FirstLegalOracle(), fractions=[1.0], n_games=2, seed=0
         )
         assert rows[0]["wins"] + rows[0]["draws"] + rows[0]["losses"] == 2
 
@@ -275,6 +279,42 @@ class TestCurves:
         first = lines[1].split(",")
         assert float(first[0]) == 0.25
         assert int(first[2]) == rows[0]["wins"]
+
+
+class FirstLegalOracle:
+    def best_move(self, board):
+        return board.legal_moves()[0], None
+
+
+def no_games(*args, **kwargs):
+    raise AssertionError("a game started")
+
+
+# ---------------------------------------------------------------------------
+# lockstep series
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "opponent", ["random", ("mcts", 10), FirstLegalOracle()], ids=["random", "mcts10", "oracle"]
+)
+def test_series_plays_each_game_as_it_would_alone(params, opponent):
+    make_opponent = partial(harness._opponent_mover, opponent, params)
+    seeds = np.random.SeedSequence(21).spawn(7)
+    games = engine.play_series(harness.random_mover, make_opponent, seeds)
+    assert games == play_series_one_by_one(harness.random_mover, make_opponent, seeds)
+    # the games leave the lockstep at different plies
+    assert len({length for _, _, length in games}) > 1
+
+
+def test_a_network_free_game_does_not_depend_on_the_game_count(params):
+    make_opponent = partial(harness._opponent_mover, ("mcts", 10), params)
+    long = engine.play_series(
+        harness.random_mover, make_opponent, np.random.SeedSequence(22).spawn(9)
+    )
+    short = engine.play_series(
+        harness.random_mover, make_opponent, np.random.SeedSequence(22).spawn(4)
+    )
+    assert long[:4] == short
 
 
 def test_play_vs_random_counts_and_determinism(params):

@@ -120,8 +120,10 @@ def test_benchmark_traces_one_search_per_search_move(spans):
         stats = mcts.benchmark(params, config, n_games=4, seed=6)
     names = span_names(tracer)
     searches = [i for i, name in enumerate(names) if name == "mcts.mcts_search"]
-    # every applied ply is an agent move (one batch-1 forward each) or a
-    # search move; an illegal agent move ends its game unapplied
-    agent_plies = names.count("network.forward_b1") - stats.illegal
+    # every applied ply is an agent move (one forward row each; lockstep
+    # batches the agent moves of one ply) or a search move; an illegal
+    # agent move ends its game unapplied
+    forwards = [i for i, n in enumerate(names) if n in ("network.forward_b1", "network.forward_bn")]
+    agent_plies = sum(tracer.qty[i] for i in forwards) - stats.illegal
     assert len(searches) == names.count("engine.apply_move") - agent_plies > 0
     assert [tracer.qty[i] for i in searches] == [config.simulations] * len(searches)
