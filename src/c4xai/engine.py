@@ -256,6 +256,8 @@ def play_series(make_a: Callable, make_b: Callable, seeds) -> list:
 
     def choose(indices, boards):
         turn = boards[0].turn  # one ply's boards share a turn; A moves where i has its parity
+        if len(indices) == 1:  # keeps a one-game series as cheap as ``play``
+            return choosers[(indices[0] + turn) % 2](indices, boards)
         cols = {}
         for side, chooser in enumerate(choosers):
             ks = [k for k, i in enumerate(indices) if (i + turn) % 2 == side]

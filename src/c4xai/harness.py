@@ -142,7 +142,7 @@ def masked_policy_mover(
     boards; ``method`` None plays on the full-information board."""
 
     def choose(indices, boards):
-        revealed = [None] * len(boards)
+        revealed = None
         if method is not None:
             revealed = [
                 attribution.select_features(method, params, board, fraction, rngs[i], opts=opts)
@@ -157,7 +157,6 @@ def masked_policy_mover(
 
 
 def random_mover(rngs: Sequence[np.random.Generator]) -> Callable:
-
     def choose(indices, boards):
         cols = []
         for i, board in zip(indices, boards):
