@@ -311,10 +311,11 @@ def test_a_network_free_game_does_not_depend_on_the_game_count(params):
     long = engine.play_series(
         harness.random_mover, make_opponent, np.random.SeedSequence(22).spawn(9)
     )
-    short = engine.play_series(
-        harness.random_mover, make_opponent, np.random.SeedSequence(22).spawn(4)
-    )
-    assert long[:4] == short
+    for n in (1, 4):
+        short = engine.play_series(
+            harness.random_mover, make_opponent, np.random.SeedSequence(22).spawn(n)
+        )
+        assert long[:n] == short
 
 
 def test_play_vs_random_counts_and_determinism(params):
