@@ -98,21 +98,6 @@ class _Objective:
         return d_val, grad.astype(float)
 
 
-def distortion(
-    params: network.NetworkParams,
-    board: engine.BoardState,
-    a_star: int,
-    m: np.ndarray,
-) -> float:
-    """Squared drop of P(a_star) when colours are damped by mask m."""
-    obj = _Objective(params, board)
-    if a_star != obj.a_star:
-        # caller pins the explained action; read its full-information prob
-        obj.a_star = int(a_star)
-        obj.p_full = float(obj.policy[a_star])
-    return obj.value(np.asarray(m, dtype=float))
-
-
 def lmo_ksparse(gradient: np.ndarray, k: float) -> np.ndarray:
     """Linear minimization over B_k: indicator of the up-to-k most
     negative gradient entries (positive entries are never selected)."""

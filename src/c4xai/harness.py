@@ -75,18 +75,18 @@ def harvest_ground_truth(
     cases = []
     last = None  # the latest move: (board before it, column, was argmax, probability)
 
-    def move(board):
+    def choose(_, boards):
         nonlocal last
-        policy = network.forward_boards(params, [board]).policy[0]
+        policy = network.forward_boards(params, boards).policy[0]
         action = network.sample_action(policy, rng)
-        last = (board, action, action == int(np.argmax(policy)), float(policy[action]))
-        return action
+        last = (boards[0], action, action == int(np.argmax(policy)), float(policy[action]))
+        return [action]
 
     for _ in range(game_cap):
         if len(cases) >= n_cases:
             break
-        # an illegal self-play move forfeits the game and gives no case
-        _, out, offender = engine.play({engine.RED: move, engine.BLUE: move})
+        # one game at a time, all on ``rng``; an illegal move forfeits the game and gives no case
+        _, out, offender = engine.play_lockstep(choose, 1)[0]
         pre, action, was_argmax, conf = last
         if offender is None and out.kind != engine.DRAW and was_argmax and conf >= confidence:
             landing = (pre.column_height(action), action)
@@ -367,6 +367,8 @@ def play_vs_random(
 ) -> mcts.WinStats:
     """Competitive (argmax) full-information agent against a uniform
     random mover, colours alternating."""
+    if n_games < 1:
+        raise ValueError("n_games must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n_games)
     games = engine.play_series(lambda _: mcts.argmax_chooser(params), random_mover, seeds)
     return mcts.WinStats.tally([agent for agent, _, _ in games], seeds)

@@ -216,13 +216,11 @@ def mcts_search(
     return SearchResult(column=column, visits=visits, values=values, simulations=config.simulations)
 
 
-def mcts_move(board: engine.BoardState, config: MCTSConfig, rng: np.random.Generator) -> int:
-    return mcts_search(board, config, rng).column
-
-
 def search_mover(config: MCTSConfig, rngs) -> Callable:
     """The search as a ``play_series`` chooser, game i on ``rngs[i]``."""
-    return lambda indices, boards: [mcts_move(b, config, rngs[i]) for i, b in zip(indices, boards)]
+    return lambda indices, boards: [
+        mcts_search(b, config, rngs[i]).column for i, b in zip(indices, boards)
+    ]
 
 
 # ---------------------------------------------------------------------------

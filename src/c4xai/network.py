@@ -157,14 +157,6 @@ class NetworkParams:
             meta=dict(self.meta),
         )
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            arch=self.arch,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            dtype=self.dtype,
-            meta=dict(self.meta),
-        )
-
 
 @dataclass
 class ForwardTrace:
@@ -185,13 +177,11 @@ class ForwardTrace:
 def init(arch: ArchDescriptor, rng: np.random.Generator, dtype=np.float32) -> NetworkParams:
     """Fan-in-scaled uniform init for weights and biases."""
     dt = np.dtype(dtype)
+    specs = dict(arch.param_specs())
     tensors = {}
-    for name, shape in arch.param_specs():
-        if name.endswith("_w"):
-            fan_in = int(np.prod(shape[1:]))
-        else:
-            w_shape = dict(arch.param_specs())[name[:-2] + "_w"]
-            fan_in = int(np.prod(w_shape[1:]))
+    for name, shape in specs.items():
+        # a bias takes the fan-in of its layer's weights
+        fan_in = int(np.prod(specs[name[:-2] + "_w"][1:]))
         bound = 1.0 / np.sqrt(fan_in)
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dt)
     return NetworkParams(arch=arch, tensors=tensors, dtype=dt)
@@ -284,6 +274,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     oh, ow = h + 2 * pad - 2, w_ + 2 * pad - 2
     sample_bytes = oh * ow * 9 * c_in * x.itemsize
     if n * sample_bytes <= _CHUNK_BYTES:
+        # the batch-1 fast path: through _sample_chunks, a C = 64 batch-1 forward
+        # took 189.0 against 174.7 us (minimum of 5 processes, 2-core x86-64 host)
         cols, _, _ = _im2col(x, pad)
         out = cols @ _wmat(w)
     else:
@@ -539,10 +531,7 @@ def forward_masks(params: NetworkParams, x: np.ndarray, masks: np.ndarray) -> Fo
     x = np.repeat(np.asarray(x, dtype=params.dtype)[None], len(masks), axis=0)
     x[:, 0] *= masks
     x[:, 1] *= masks
-    shared = _shared_conv2_rows(masks, params.arch.conv_channels)
-    if shared is None:
-        return forward(params, x)
-    return forward(params, x, conv2_rows=shared)
+    return forward(params, x, conv2_rows=_shared_conv2_rows(masks, params.arch.conv_channels))
 
 
 def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:

@@ -4,8 +4,10 @@ None of these is used by the package: the t! permutation enumerations
 are the second formula for ``charfn.exact_shapley``'s subset form, the
 double loop over masks sums the p = 0 subset form term by term, ``QueryLog``
 records which coalition sizes an estimator asks for,
-``distortion_gradient`` exposes the FW objective's gradient on its own,
-and ``play_series_one_by_one`` plays a series one game at a time.
+``distortion`` and ``distortion_gradient`` expose the FW objective and
+its gradient on their own, ``play_one_game`` is a plain rules loop
+without ``engine.play_lockstep``, and ``play_series_one_by_one`` plays a
+series through it one game at a time.
 """
 
 import math
@@ -88,6 +90,21 @@ class QueryLog:
         return min(self.sizes) if self.sizes else -1
 
 
+def distortion(
+    params: network.NetworkParams,
+    board: engine.BoardState,
+    a_star: int,
+    m: np.ndarray,
+) -> float:
+    """Squared drop of P(a_star) when colours are damped by mask m."""
+    obj = fwmask._Objective(params, board)
+    if a_star != obj.a_star:
+        # caller pins the explained action; read its full-information prob
+        obj.a_star = int(a_star)
+        obj.p_full = float(obj.policy[a_star])
+    return obj.value(np.asarray(m, dtype=float))
+
+
 def distortion_gradient(
     params: network.NetworkParams, board: engine.BoardState, m: np.ndarray
 ) -> np.ndarray:
@@ -96,8 +113,23 @@ def distortion_gradient(
     return grad
 
 
+def play_one_game(movers) -> tuple:
+    """One game from the empty board, ``movers`` mapping RED and BLUE to
+    ``board -> column``. Returns (final board, Outcome, offending colour
+    or None), as ``engine.play_lockstep`` does per game."""
+    board = engine.new_board()
+    while True:
+        col = movers[board.to_move](board)
+        if col not in board.legal_moves():
+            return board, engine.Outcome(engine.ONGOING), board.to_move
+        board = engine.apply_move(board, col)
+        out = engine.outcome(board)
+        if out.is_terminal:
+            return board, out, None
+
+
 def play_series_one_by_one(make_a, make_b, seeds) -> list:
-    """``engine.play_series`` without lockstep: one ``engine.play`` per
+    """``engine.play_series`` without lockstep: one ``play_one_game`` per
     SeedSequence, with movers built on that game's rng alone and A red
     in even-numbered games."""
     games = []
@@ -106,7 +138,7 @@ def play_series_one_by_one(make_a, make_b, seeds) -> list:
         choose_a, choose_b = make_a(rngs), make_b(rngs)
         colour_a = engine.RED if i % 2 == 0 else engine.BLUE
         colour_b = engine.other(colour_a)
-        final, out, offender = engine.play(
+        final, out, offender = play_one_game(
             {
                 colour_a: lambda board: choose_a([0], [board])[0],
                 colour_b: lambda board: choose_b([0], [board])[0],

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from c4xai import attribution, charfn, engine, fwmask, harness, mcts, network, training
-from oracles import QueryLog, exact_shapley_by_permutations
+from oracles import QueryLog, distortion, exact_shapley_by_permutations
 
 DATA = Path(__file__).parent / "data"
 DESK_CKPT = DATA / "desk_checkpoint.ckpt"
@@ -258,7 +258,7 @@ def test_criterion_06c_distortion_near_binary_minimum(desk_params):
             m = np.zeros((engine.ROWS, engine.COLS))
             for r, c in S:
                 m[r, c] = 1.0
-            d_min = min(d_min, fwmask.distortion(
+            d_min = min(d_min, distortion(
                 desk_params, board, res.meta["a_star"], m))
         assert res.distortion <= 1.1 * d_min + 1e-15, (board.history, res.distortion, d_min)
 

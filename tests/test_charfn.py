@@ -493,8 +493,8 @@ def test_counters_on_a_network_game(monkeypatch):
     forwards = []
     original = network.forward
 
-    def counting_forward(params, x):
-        trace = original(params, x)
+    def counting_forward(params, x, **kwargs):
+        trace = original(params, x, **kwargs)
         forwards.append(len(trace.policy))
         return trace
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4xai import engine
+from oracles import play_one_game
 
 
 # --- independent oracle: direct enumeration of all 4-windows ---------------
@@ -200,7 +201,7 @@ def test_lockstep_matches_one_game_at_a_time():
         return [scripted_mover(i)(b) for i, b in zip(indices, boards)]
 
     results = engine.play_lockstep(choose, 5)
-    singles = [engine.play({engine.RED: scripted_mover(i), engine.BLUE: scripted_mover(i)})
+    singles = [play_one_game({engine.RED: scripted_mover(i), engine.BLUE: scripted_mover(i)})
                for i in range(5)]
     assert results == singles
     assert len({final.turn for final, _, _ in results}) > 1  # games end at different plies

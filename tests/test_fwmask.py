@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from c4xai import engine, fwmask, network
-from oracles import distortion_gradient
+from oracles import distortion, distortion_gradient
 
 DESK_CKPT = Path(__file__).parent / "data" / "desk_checkpoint.ckpt"
 
@@ -33,13 +33,13 @@ def test_all_ones_mask_has_zero_distortion():
     params, board = setup_case(1)
     a_star = full_info_a_star(params, board)
     m = np.ones((6, 7))
-    assert fwmask.distortion(params, board, a_star, m) == 0.0
+    assert distortion(params, board, a_star, m) == 0.0
 
 
 def test_all_zero_mask_hides_everything():
     params, board = setup_case(2)
     a_star = full_info_a_star(params, board)
-    d0 = fwmask.distortion(params, board, a_star, np.zeros((6, 7)))
+    d0 = distortion(params, board, a_star, np.zeros((6, 7)))
     # equals the drop to the fully hidden board
     p_hidden = network.forward_boards(params, [board], [frozenset()]).policy[0, a_star]
     p_full = network.forward_boards(params, [board]).policy[0, a_star]
@@ -60,8 +60,8 @@ def test_gradient_matches_finite_differences():
         up = m.copy(); up[r, c] += step
         dn = m.copy(); dn[r, c] -= step
         fd = (
-            fwmask.distortion(params, board, a_star, up)
-            - fwmask.distortion(params, board, a_star, dn)
+            distortion(params, board, a_star, up)
+            - distortion(params, board, a_star, dn)
         ) / (2 * step)
         an = grad[r, c]
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) <= 1e-4, ((r, c), fd, an)
@@ -153,7 +153,7 @@ def test_trace_is_nonincreasing_and_best_returned():
         assert np.all(np.diff(res.trace) <= 1e-15)
         assert res.distortion == res.trace[-1]
         a_star = res.meta["a_star"]
-        re_eval = fwmask.distortion(params, board, a_star, res.mask)
+        re_eval = distortion(params, board, a_star, res.mask)
         assert abs(re_eval - res.distortion) < 1e-12
 
 
@@ -163,7 +163,7 @@ def test_line_search_never_loses_to_agnostic_start():
     res = fwmask.fw_optimize(params, board, cfg_ls)
     # gamma = 0 is on the grid: the first trace entry cannot exceed the
     # starting distortion
-    obj0 = fwmask.distortion(
+    obj0 = distortion(
         params, board, res.meta["a_star"], np.full((6, 7), 2 / 42)
     )
     assert res.trace[0] <= obj0 + 1e-15
@@ -242,13 +242,13 @@ def reference_line_search(params, board, cfg):
     """FW with one distortion() call per line-search grid point."""
     a_star = full_info_a_star(params, board)
     m = np.full((6, 7), cfg.k / 42)
-    best_d, best_m = fwmask.distortion(params, board, a_star, m), m.copy()
+    best_d, best_m = distortion(params, board, a_star, m), m.copy()
     gammas = np.linspace(0.0, 1.0, fwmask.LINE_SEARCH_GRID)
     for _ in range(cfg.iterations):
         direction = fwmask.lmo_ksparse(distortion_gradient(params, board, m), cfg.k) - m
-        vals = [fwmask.distortion(params, board, a_star, m + g * direction) for g in gammas]
+        vals = [distortion(params, board, a_star, m + g * direction) for g in gammas]
         m = np.clip(m + gammas[int(np.argmin(vals))] * direction, 0.0, 1.0)
-        d = fwmask.distortion(params, board, a_star, m)
+        d = distortion(params, board, a_star, m)
         if d < best_d:
             best_d, best_m = d, m.copy()
     return best_m
@@ -266,8 +266,8 @@ def test_forwards_per_iteration(monkeypatch):
     rows = []
     original = fwmask.network.forward
 
-    def counting_forward(p, x):
-        trace = original(p, x)
+    def counting_forward(p, x, **kwargs):
+        trace = original(p, x, **kwargs)
         rows.append(len(trace.policy))
         return trace
 

@@ -116,7 +116,7 @@ class TestHarvest:
         def play(*args, **kwargs):
             raise AssertionError("a game was played")
 
-        monkeypatch.setattr(engine, "play", play)
+        monkeypatch.setattr(engine, "play_lockstep", play)
         with pytest.raises(ValueError, match="confidence"):
             harness.harvest_ground_truth(
                 params, n_cases=2, rng=np.random.default_rng(3), confidence=confidence
@@ -323,6 +323,13 @@ def test_play_vs_random_counts_and_determinism(params):
     b = harness.play_vs_random(params, n_games=10, seed=4)
     assert a.wins + a.draws + a.losses + a.illegal == 10
     assert (a.wins, a.draws, a.losses, a.illegal) == (b.wins, b.draws, b.losses, b.illegal)
+
+
+@pytest.mark.parametrize("n_games", [0, -3])
+def test_play_vs_random_rejects_a_game_count_below_one(params, monkeypatch, n_games):
+    monkeypatch.setattr(engine, "play_series", no_games)
+    with pytest.raises(ValueError, match="n_games must be >= 1"):
+        harness.play_vs_random(params, n_games=n_games)
 
 
 # ---------------------------------------------------------------------------

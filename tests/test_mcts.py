@@ -103,7 +103,7 @@ class TestSearch:
         board = play([3, 0, 3, 1, 3, 6])  # red completes column 3
         cfg = mcts.MCTSConfig(simulations=200)
         hits = sum(
-            mcts.mcts_move(board, cfg, np.random.default_rng(s)) == 3
+            mcts.mcts_search(board, cfg, np.random.default_rng(s)).column == 3
             for s in range(100)
         )
         assert hits >= 99
@@ -112,7 +112,7 @@ class TestSearch:
         board = play([0, 6, 1, 6, 2, 5])  # red has the bottom row 0..2
         cfg = mcts.MCTSConfig(simulations=200)
         hits = sum(
-            mcts.mcts_move(board, cfg, np.random.default_rng(s)) == 3
+            mcts.mcts_search(board, cfg, np.random.default_rng(s)).column == 3
             for s in range(100)
         )
         assert hits >= 99
@@ -121,7 +121,7 @@ class TestSearch:
         board = play([3, 0, 3, 1, 3])  # blue must answer the column-3 stack
         cfg = mcts.MCTSConfig(simulations=400)
         hits = sum(
-            mcts.mcts_move(board, cfg, np.random.default_rng(s)) == 3
+            mcts.mcts_search(board, cfg, np.random.default_rng(s)).column == 3
             for s in range(100)
         )
         assert hits >= 95
@@ -129,7 +129,7 @@ class TestSearch:
     def test_single_simulation_returns_legal_move(self):
         cfg = mcts.MCTSConfig(simulations=1)
         for s in range(20):
-            col = mcts.mcts_move(engine.new_board(), cfg, np.random.default_rng(s))
+            col = mcts.mcts_search(engine.new_board(), cfg, np.random.default_rng(s)).column
             assert col in range(engine.COLS)
 
     def test_root_child_visits_account_for_all_but_the_first(self):
@@ -146,7 +146,7 @@ class TestSearch:
         board = play([0, 0, 0, 0, 0, 0])  # column 0 closed
         cfg = mcts.MCTSConfig(simulations=80)
         for s in range(10):
-            col = mcts.mcts_move(board, cfg, np.random.default_rng(s))
+            col = mcts.mcts_search(board, cfg, np.random.default_rng(s)).column
             assert col in board.legal_moves()
             assert col != 0
 

@@ -389,7 +389,6 @@ def test_conv_weights_live_in_gemm_order(tmp_path):
         "init": params,
         "load": network.load(path),
         "astype": params.astype(np.float64),
-        "copy": params.copy(),
         "adam_step": stepped,
     }
     for origin, built_params in built.items():
@@ -405,7 +404,7 @@ def test_conv_weights_live_in_gemm_order(tmp_path):
 
 def test_a_c_ordered_conv_weight_gives_the_same_bits():
     params = make_params(8, seed=4, dtype=np.float32)
-    swapped = params.copy()
+    swapped = params.astype(params.dtype)
     for name in CONV_WEIGHTS:
         # the swap moves each weight from GEMM order to C order
         w = params.tensors[name]
@@ -658,12 +657,12 @@ def test_softmax_constant_shift_invariance():
     params = make_params(8, seed=19, dtype=np.float64)
     x = random_input(20)
     base = network.forward(params, x).policy
-    shifted = params.copy()
+    shifted = params.astype(params.dtype)
     shifted.tensors["policy_b"] = shifted.tensors["policy_b"] + 500.0
     after = network.forward(shifted, x).policy
     assert np.allclose(base, after, atol=1e-12)
     # extreme logits stay finite
-    big = params.copy()
+    big = params.astype(params.dtype)
     big.tensors["policy_b"] = big.tensors["policy_b"] + np.array([1e4, 0, 0, 0, 0, 0, -1e4])
     tr = network.forward(big, x)
     assert np.isfinite(tr.policy).all()
