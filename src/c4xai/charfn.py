@@ -18,8 +18,10 @@ Every coalition is evaluated through ``eval_masks``, which plans its
 queries in blocks of BLOCK_ROWS before evaluating any; ``eval_mask``
 answers a cache hit itself and hands a miss to ``eval_masks``. A
 network game evaluates its blocks on the calling thread plus one helper
-thread when the BLAS threads leave a usable CPU idle (none when the
-BLAS thread count is not pinned, see ``network._helper_threads``).
+thread when the BLAS threads leave a usable CPU idle and no other lane
+holds the process's helper slot (none when the BLAS thread count is
+not pinned; see ``network._helper_threads`` and ``network._in_turns``).
+A block's own chunked conv layers then run on the block's thread.
 Each block is still one ``forward_masks`` call on the same grids, so
 the values, the cache and the counters are those of evaluating the
 blocks in turn. Which block a coalition lands in depends on what the
@@ -31,7 +33,6 @@ sequence of calls on a fresh game, not per coalition.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -205,39 +206,9 @@ class _NetworkGame(CharacteristicFn):
 
     def _evaluate_blocks(self, blocks):
         """Each block is one ``_evaluate`` call, as in the sequential
-        walk. With two or more blocks and a helper allowed by
-        ``network._helper_threads``, the calling thread and one helper thread
-        take block indices in turn from one shared iterator. A thread
-        whose block raises drains that iterator, so the other thread
-        starts no further block; the helper ends before this returns.
-        """
-        if len(blocks) < 2 or not network._helper_threads():
-            return super()._evaluate_blocks(blocks)
-        from concurrent.futures import ThreadPoolExecutor
-
-        values = [None] * len(blocks)
-        order = iter(range(len(blocks)))
-        lock = threading.Lock()
-
-        def work():
-            while True:
-                with lock:
-                    i = next(order, None)
-                if i is None:
-                    return
-                try:
-                    values[i] = self._evaluate(blocks[i])
-                except BaseException:
-                    with lock:
-                        for _ in order:  # drained: no thread starts another block
-                            pass
-                    raise
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = pool.submit(work)
-            work()
-        helper.result()
-        return values
+        walk, on the calling thread and the helper thread when
+        ``network._in_turns`` starts one (see there)."""
+        return network._in_turns(self._evaluate, blocks)
 
 
 def nu_pol(params: network.NetworkParams, board: engine.BoardState) -> CharacteristicFn:

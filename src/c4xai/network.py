@@ -36,10 +36,14 @@ keeps every bit (see ``_shared_conv2_rows``).
 ``backward`` runs in two lanes when ``_helper_threads`` allows a helper
 thread: each conv layer's weight gradient goes to the helper as soon
 as that layer's output gradient is known, while the calling thread goes
-on down the input-gradient chain (conv4 to conv1). Each gradient comes
-from the same calls on the same arrays as in one lane, so every bit is
-the same; the helper has finished before ``backward`` returns or
-raises.
+on down the input-gradient chain (conv4 to conv1). A chunked
+``conv_forward`` likewise runs its sample chunks on the calling thread
+and the helper, which take them in turn (``_in_turns``), each chunk's
+rows within half of _CHUNK_BYTES. Each gradient or chunk comes from the
+same calls on the same arrays as in one lane, so every bit is the same;
+the helper has finished before the call returns or raises. Every
+helper starts through one process-wide slot (``_helper_lane``), so a
+lane started inside a lane runs alone and at most one helper runs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ import hashlib
 import json
 import math
 import os
-from contextlib import nullcontext
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -268,7 +273,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     A batch whose im2col rows fit in _CHUNK_BYTES is one GEMM over them.
     A larger one builds its rows per chunk of samples (see _sample_chunks)
     and writes each chunk's GEMM into its rows of the result, which gives
-    the same bits without a copy of the whole batch's rows.
+    the same bits without a copy of the whole batch's rows. The chunks
+    run in two lanes when ``_in_turns`` starts a helper, so each chunk's
+    rows fit in half the budget.
     """
     n, c_in, h, w_ = x.shape
     oh, ow = h + 2 * pad - 2, w_ + 2 * pad - 2
@@ -281,9 +288,14 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     else:
         wmat = _wmat(w)
         out = np.empty((n * oh * ow, w.shape[0]), dtype=np.result_type(x, w))
-        for start, end in _sample_chunks(n, sample_bytes, oh * ow * wmat.size):
-            # no name holds a chunk's rows, so they are freed before the next chunk's
+
+        def chunk(bounds):
+            start, end = bounds
+            # no name holds a chunk's rows, so they are freed before the lane's next chunk
             np.matmul(_im2col(x[start:end], pad)[0], wmat, out=out[start * oh * ow : end * oh * ow])
+
+        # two lanes share the budget: each chunk's rows fit in half of it
+        _in_turns(chunk, _sample_chunks(n, 2 * sample_bytes, oh * ow * wmat.size))
     if b is not None:
         out += b
     return out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
@@ -612,14 +624,9 @@ def backward(
     # each conv layer's weight gradient is read by nothing below it, so a
     # helper thread computes it while this thread goes on down the input
     # gradients; _conv_param_backward reaches no traced or shared state
-    pool = None
-    if want_param_grads and _helper_threads():
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=1)
     conv_grads = {}
     # leaving the block waits for the helper, also when this lane raises
-    with pool or nullcontext():
+    with _helper_lane() if want_param_grads else nullcontext() as pool:
         for i in range(len(CONV_PADS), 0, -1):
             z = trace.conv_z[i - 1]
             d = d * ((z > 0).astype(z.dtype) if relu is None else relu(f"conv{i}", z, d))
@@ -642,8 +649,9 @@ def backward(
 def _helper_threads() -> int:
     """Threads that may run network work beside the calling one: 1 when
     the usable CPUs number at least twice the BLAS threads, else 0. Its
-    users are ``backward``'s weight-gradient lane and the coalition
-    blocks of ``charfn._NetworkGame``. One helper is the count measured
+    users, each through ``_helper_lane``, are ``backward``'s
+    weight-gradient lane, the sample chunks of ``conv_forward`` and the
+    coalition blocks of ``charfn._NetworkGame``. One helper is the count measured
     (2-core x86-64 host); more on larger hosts are unmeasured. A helper
     beside 2 BLAS threads made 40 Shapley boards slower there (median
     5.7 against 4.8 s), and a C = 64 ``ppo_update`` too (median 0.18 and
@@ -668,6 +676,68 @@ def _helper_threads() -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return 1 if blas > 0 and cpus >= 2 * blas else 0
+
+
+# held while a helper thread runs, so at most one runs in the process
+_HELPER_SLOT = threading.Lock()
+
+
+@contextmanager
+def _helper_lane():
+    """A one-worker pool for the one helper thread, or None.
+
+    None when ``_helper_threads`` allows no helper or another lane holds
+    the slot, such as the lane this call runs in: a lane started inside
+    a lane runs alone. The slot is taken without blocking. Leaving the
+    block waits for the helper and frees the slot, also when it raises.
+    """
+    if not _helper_threads() or not _HELPER_SLOT.acquire(blocking=False):
+        yield None
+        return
+    try:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+    finally:
+        _HELPER_SLOT.release()
+
+
+def _in_turns(run: Callable, tasks: list) -> list:
+    """``[run(task) for task in tasks]``, in two lanes when it can.
+
+    With two tasks or more and a helper from ``_helper_lane``, the
+    calling thread and the helper take task indices in turn from one
+    shared iterator. A thread whose task raises drains that iterator, so
+    the other thread starts no further task; the helper has ended before
+    this returns or raises, and its exception reaches the caller
+    unchanged.
+    """
+    with _helper_lane() if len(tasks) >= 2 else nullcontext() as pool:
+        if pool is None:
+            return [run(task) for task in tasks]
+        results = [None] * len(tasks)
+        order = iter(range(len(tasks)))
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = run(tasks[i])
+                except BaseException:
+                    with lock:
+                        for _ in order:  # drained: no thread starts another task
+                            pass
+                    raise
+
+        helper = pool.submit(work)
+        work()
+    helper.result()
+    return results
 
 
 def action_input_grad(

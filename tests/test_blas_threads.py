@@ -50,7 +50,10 @@ print(h.hexdigest())
 """
 
 # every conv layer's forward at C = 64; batches whose im2col rows pass
-# network._CHUNK_BYTES run one GEMM per chunk of samples
+# network._CHUNK_BYTES run one GEMM per chunk of samples. On 2 or more
+# CPUs the 1-thread run takes those chunks in two lanes (the caller and
+# a helper thread) and the 2-thread run in one, so this also compares
+# those two paths.
 FORWARD_SCRIPT = """
 import hashlib
 import numpy as np

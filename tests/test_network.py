@@ -3,6 +3,7 @@ central finite differences."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4xai import attribution, cli, engine, network, training
+from c4xai import attribution, charfn, cli, engine, network, training
 
 
 def make_params(channels=8, seed=0, dtype=np.float64):
@@ -300,13 +301,15 @@ def test_chunked_conv_gemms_keep_the_bits_of_one_gemm(layer, c, dtype):
 def test_chunk_plans_cover_one_many_and_merged_tail_chunks():
     # the plans the bit test above runs: every chunk but the last is a
     # multiple of 8 samples within the budget, every split GEMM stays above
-    # the bit bound, and all three kinds of plan occur
+    # the bit bound, and all three kinds of plan occur. conv_forward plans
+    # its two lanes' chunks on half the budget, as if a sample took twice
+    # its bytes
     budget, bound = network._CHUNK_BYTES, network._ROW_EXACT_GEMM_WORK
     kinds = set()
     for layer in range(4):
         for c in (8, 64):
             c_in, _, _, (oh, ow) = layer_shapes(layer, c)
-            for itemsize in (4, 8):
+            for itemsize in (4, 8, 16):  # 8 and 16: float32 and float64 at half budget
                 sample_bytes = oh * ow * 9 * c_in * itemsize
                 sample_work = oh * ow * 9 * c_in * c
                 for n in CHUNK_BATCHES:
@@ -326,9 +329,11 @@ def test_chunk_plans_cover_one_many_and_merged_tail_chunks():
     assert kinds == {"one", "many", "merged tail"}
 
 
-def test_large_batch_conv_transients_stay_within_the_chunk_budget():
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_large_batch_conv_transients_stay_within_the_chunk_budget(helpers, monkeypatch):
     # conv2 at C = 64 and batch 196: the whole batch's im2col or dcols rows
-    # would be 19 MB
+    # would be 19 MB. With a helper, conv_forward's two lanes hold a chunk each
+    monkeypatch.setattr(network, "_helper_threads", lambda: helpers)
     c, n = 64, 196
     rng = np.random.default_rng(47)
     w = rng.normal(size=(3, 3, c, c)).astype(np.float32).transpose(3, 2, 0, 1)
@@ -649,6 +654,194 @@ def test_a_failed_caller_lane_surfaces_after_the_helper_ends(monkeypatch):
     (hook, caller), (wgrad, helper) = events
     assert hook == "hook failed" and wgrad == "weight gradient"
     assert caller == threading.get_ident() != helper
+
+
+# --- two-lane conv forward and the helper slot -----------------------------------
+
+IM2COL = network._im2col
+SAMPLE_CHUNKS = network._sample_chunks
+
+
+def recorded(call, threads, meet=False):
+    """``call``, adding the thread of every call to ``threads``; with
+    ``meet`` each thread's first call waits (10 s at most) until two
+    threads have made one."""
+    both = threading.Barrier(2, timeout=10)
+
+    def recording(*args):
+        first = threading.get_ident() not in threads
+        threads.add(threading.get_ident())
+        if meet and first:
+            both.wait()
+        return call(*args)
+
+    return recording
+
+
+def conv_case(layer, c, dtype, n, seed):
+    c_in, pad, hw, (oh, ow) = layer_shapes(layer, c)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(3, 3, c_in, c)).astype(dtype).transpose(3, 2, 0, 1)
+    b = rng.normal(size=c).astype(dtype)
+    x = rng.normal(size=(n,) + hw + (c_in,)).astype(dtype).transpose(0, 3, 1, 2)
+    chunked = n * oh * ow * 9 * c_in * x.itemsize > network._CHUNK_BYTES
+    return (x, w, b, pad), chunked
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("c", [8, 64])
+@pytest.mark.parametrize("layer", range(4))
+def test_two_forward_lanes_give_one_lanes_bits(layer, c, dtype, monkeypatch):
+    caller = threading.get_ident()
+    for n in (1, 25, 33, 64, 100, 147, 181, 196):
+        args, chunked = conv_case(layer, c, dtype, n, seed=10 * layer + c + n)
+        one_threads, two_threads, counts = set(), set(), set()
+        monkeypatch.setattr(network, "_helper_threads", lambda: 0)
+        monkeypatch.setattr(network, "_im2col", recorded(IM2COL, one_threads))
+        one = network.conv_forward(*args)
+        monkeypatch.setattr(network, "_helper_threads", lambda: 1)
+
+        def counting(*im2col_args):
+            counts.add(threading.active_count())
+            return IM2COL(*im2col_args)
+
+        monkeypatch.setattr(network, "_im2col", recorded(counting, two_threads, meet=chunked))
+        before = threading.active_count()
+        two = network.conv_forward(*args)
+        assert threading.active_count() == before
+        assert_same_bits(one, two)
+        assert one_threads == {caller}
+        if chunked:  # the helper ran at least one chunk
+            assert len(two_threads) == 2 and caller in two_threads
+            assert counts == {before + 1}
+        else:  # one GEMM: no thread starts
+            assert two_threads == {caller} and counts == {before}
+
+
+def test_both_forward_lanes_train_the_same_c64_checkpoint(tmp_path, monkeypatch):
+    rows = []
+    forward = network.forward
+
+    def recording(params, x, **kwargs):
+        rows.append(len(x))
+        return forward(params, x, **kwargs)
+
+    monkeypatch.setattr(network, "forward", recording)
+    digests = []
+    for helpers in (0, 1):
+        monkeypatch.setattr(network, "_helper_threads", lambda helpers=helpers: helpers)
+        cfg = training.PPOConfig(
+            conv_channels=64, total_games=10, update_every=10, checkpoint_every=0, seed=5
+        )
+        result = training.train(cfg, tmp_path / str(helpers))
+        digests.append(network.file_sha256(result.checkpoint_path))
+    assert digests[0] == digests[1]
+    # the PPO batch's float32 conv2 im2col rows take conv_forward's chunked branch
+    assert max(rows) * 6 * 7 * 9 * 64 * 4 > network._CHUNK_BYTES
+
+
+def ongoing_board(pieces, seed):
+    rng = np.random.default_rng(seed)
+    board = engine.new_board()
+    while board.turn < pieces:
+        board = engine.apply_move(board, int(rng.choice(board.legal_moves())))
+        if engine.outcome(board).is_terminal:
+            board = engine.new_board()
+    return board
+
+
+def test_a_lane_inside_a_lane_runs_alone(monkeypatch):
+    # at C = 64 float64 a 64-row block's conv3 im2col rows are 5.9 MB, so
+    # every block's forward takes conv_forward's chunked branch
+    params = make_params(64, seed=51, dtype=np.float64)
+    board = ongoing_board(12, seed=52)
+    values = []
+    for helpers in (0, 1):
+        monkeypatch.setattr(network, "_helper_threads", lambda helpers=helpers: helpers)
+        nu = charfn.nu_pol(params, board)
+        block_threads, chunk_threads, im2col_threads = set(), set(), set()
+        nu._evaluate = recorded(nu._evaluate, block_threads, meet=helpers == 1)
+        monkeypatch.setattr(network, "_sample_chunks", recorded(SAMPLE_CHUNKS, chunk_threads))
+        monkeypatch.setattr(network, "_im2col", recorded(IM2COL, im2col_threads))
+        before = threading.active_count()
+        values.append(nu.eval_masks(np.arange(4 * charfn.BLOCK_ROWS)))
+        assert threading.active_count() == before
+        assert len(block_threads) == 1 + helpers
+        # each block's chunks ran on the block's own thread: no third thread
+        assert chunk_threads == im2col_threads == block_threads
+    assert values[0].tobytes() == values[1].tobytes()
+
+
+def test_a_held_slot_keeps_a_chunked_forward_on_its_caller(monkeypatch):
+    args, chunked = conv_case(1, 64, np.float32, 147, seed=53)
+    assert chunked
+    monkeypatch.setattr(network, "_helper_threads", lambda: 1)
+    held_threads, free_threads = set(), set()
+    monkeypatch.setattr(network, "_im2col", recorded(IM2COL, held_threads))
+    with network._HELPER_SLOT:
+        held = network.conv_forward(*args)
+    monkeypatch.setattr(network, "_im2col", recorded(IM2COL, free_threads, meet=True))
+    free = network.conv_forward(*args)
+    assert held_threads == {threading.get_ident()}
+    assert len(free_threads) == 2
+    assert_same_bits(held, free)
+
+
+class LaneFailed(Exception):
+    pass
+
+
+def failing_second_call(call, failure):
+    calls = itertools.count(1)
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise failure
+        return call(*args)
+
+    return failing
+
+
+@pytest.mark.parametrize("lane", ["chunk", "weight gradient", "block"])
+def test_every_exit_frees_the_helper_slot(lane, monkeypatch):
+    monkeypatch.setattr(network, "_helper_threads", lambda: 1)
+    failure = LaneFailed(lane)
+    threads = set()
+    caller = threading.get_ident()
+    if lane == "chunk":
+        args, _ = conv_case(1, 64, np.float32, 147, seed=54)
+        call = lambda: network.conv_forward(*args)
+        monkeypatch.setattr(network, "_im2col", failing_second_call(IM2COL, failure))
+        retry = lambda: monkeypatch.setattr(network, "_im2col", recorded(IM2COL, threads, meet=True))
+        helped = lambda: len(threads) == 2
+    elif lane == "weight gradient":
+        # the setup of test_a_failed_weight_gradient_reaches_the_caller_unchanged
+        params = make_params(8, seed=41, dtype=np.float32)
+        trace = network.forward(params, np.random.default_rng(42).random((13, 3, 6, 7)))
+        call = lambda: network.backward(params, trace, value_grad=np.ones(13))
+        weight_grad = network._conv_param_backward
+        monkeypatch.setattr(network, "_conv_param_backward", failing_second_call(weight_grad, failure))
+        retry = lambda: monkeypatch.setattr(
+            network, "_conv_param_backward", recorded(weight_grad, threads)
+        )
+        helped = lambda: threads and caller not in threads
+    else:
+        nu = charfn.nu_pol(make_params(8, seed=55), ongoing_board(10, seed=56))
+        call = lambda: nu.eval_masks(np.arange(4 * charfn.BLOCK_ROWS))
+        evaluate = nu._evaluate
+        nu._evaluate = failing_second_call(evaluate, failure)
+        retry = lambda: setattr(nu, "_evaluate", recorded(evaluate, threads, meet=True))
+        helped = lambda: len(threads) == 2
+    before = threading.active_count()
+    with pytest.raises(LaneFailed) as raised:
+        call()
+    assert raised.value is failure
+    assert threading.active_count() == before
+    assert not network._HELPER_SLOT.locked()
+    retry()
+    call()  # starts a helper again
+    assert helped()
+    assert threading.active_count() == before
 
 
 # --- functional properties -----------------------------------------------------
