@@ -207,17 +207,13 @@ def input_saliency(params: network.NetworkParams, board: engine.BoardState) -> S
 
 
 _MAP_METHODS: Dict[str, Callable] = {
-    "gradient": lambda params, board, rng, opts: gradient(params, board),
-    "smoothgrad": lambda params, board, rng, opts: smoothgrad(
-        params, board, rng, n=opts.get("n", 25), sigma=opts.get("sigma", 0.15)
-    ),
-    "guided_backprop": lambda params, board, rng, opts: guided_backprop(params, board),
-    "lrp_eps": lambda params, board, rng, opts: lrp_eps(params, board, eps=opts.get("eps")),
-    "deeplift_rescale": lambda params, board, rng, opts: deeplift_rescale(
-        params, board, baseline=opts.get("baseline")
-    ),
-    "random": lambda params, board, rng, opts: random_saliency(params, board, rng),
-    "input": lambda params, board, rng, opts: input_saliency(params, board),
+    "gradient": lambda params, board, rng: gradient(params, board),
+    "smoothgrad": smoothgrad,
+    "guided_backprop": lambda params, board, rng: guided_backprop(params, board),
+    "lrp_eps": lambda params, board, rng: lrp_eps(params, board),
+    "deeplift_rescale": lambda params, board, rng: deeplift_rescale(params, board),
+    "random": random_saliency,
+    "input": lambda params, board, rng: input_saliency(params, board),
 }
 
 
@@ -225,16 +221,15 @@ def saliency(
     method: str,
     params: network.NetworkParams,
     board: engine.BoardState,
-    rng: Optional[np.random.Generator] = None,
-    **opts,
+    rng: np.random.Generator,
 ) -> SaliencyMap:
-    """Dispatch a map-producing method by name."""
+    """Dispatch a map-producing method by name, at its default settings.
+
+    ``rng`` is required: smoothgrad and random draw from it."""
     fn = _MAP_METHODS.get(method)
     if fn is None:
         raise UnknownMethod(f"{method!r}; map methods: {sorted(_MAP_METHODS)}")
-    if rng is None:
-        rng = np.random.default_rng()
-    return fn(params, board, rng, opts)
+    return fn(params, board, rng)
 
 
 def aggregate(smap: SaliencyMap, board: engine.BoardState) -> dict:
@@ -261,16 +256,17 @@ def check_fraction(fraction) -> float:
 
 def select_top(
     scores: dict,
-    fraction: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
+    fraction: Optional[float],
+    rng: np.random.Generator,
     count: Optional[int] = None,
 ) -> frozenset:
     """Reveal the ceil(fraction * t) best-scoring cells.
 
     Exact score ties are broken uniformly at random via a random
-    secondary sort key, so equal-scoring cells at the cut boundary are
-    each selected with equal probability. ``count`` overrides the
-    fraction-derived size (used by the top-3 ground-truth check).
+    secondary sort key drawn from ``rng`` (required), so equal-scoring
+    cells at the cut boundary are each selected with equal probability.
+    ``count`` overrides the fraction-derived size (used by the top-3
+    ground-truth check), and ``fraction`` may then be None.
     """
     cells = sorted(scores)
     t = len(cells)
@@ -283,22 +279,18 @@ def select_top(
     if count <= 0 or t == 0:
         return frozenset()
     vals = np.array([scores[c] for c in cells], dtype=float)
-    rng = rng or np.random.default_rng()
     order = np.lexsort((rng.permutation(t), -vals))
     return frozenset(cells[i] for i in order[:count])
 
 
 def _shapley_scorer(params, board, rng, fraction, opts):
-    p = opts.get("p", 0.5)
-    n = opts.get("n")
-    if n is None:
-        epsilon, delta = opts.get("epsilon", 0.25), opts.get("delta", 0.1)
-        n = charfn.sample_count(epsilon, delta)
+    # p = 0.5, and the Hoeffding count at epsilon 0.25, delta 0.1 (24) unless opts sets n
+    n = opts.get("n", charfn.sample_count(0.25, 0.1))
     if board.turn == 0:
         return {}
     nu = charfn.nu_pol(params, board)
     try:
-        res = charfn.partial_shapley(nu, p, n, rng)
+        res = charfn.partial_shapley(nu, 0.5, n, rng)
     except charfn.EmptyPermutationClass:
         # tiny t can leave no admissible position; fall back to plain sampling
         res = charfn.partial_shapley(nu, 0.0, n, rng)
@@ -309,14 +301,8 @@ def _fw_scorer(params, board, rng, fraction, opts):
     t = board.turn
     if t == 0:
         return {}
-    k = opts.get("k")
-    if k is None:
-        k = max(1, math.ceil(fraction * t - 1e-9))
-    cfg = fwmask.FWConfig(
-        k=k,
-        iterations=opts.get("iterations", 50),
-        step_rule=opts.get("step_rule", "agnostic"),
-    )
+    k = max(1, math.ceil(fraction * t - 1e-9))
+    cfg = fwmask.FWConfig(k=k, iterations=opts.get("iterations", 50))
     return fwmask.mask_piece_scores(fwmask.fw_optimize(params, board, cfg).mask, board)
 
 
@@ -336,14 +322,20 @@ def piece_scores(
     fraction: float = 0.5,
     opts: Optional[dict] = None,
 ) -> dict:
-    """A masker's per-piece scores; ``fraction`` sets the FW budget k."""
+    """A masker's per-piece scores; ``fraction`` sets the FW budget k.
+
+    ``opts`` holds at most two keys: ``n``, the Shapley masker's
+    permutation count (default 24), and ``iterations``, the FW masker's
+    (default 50). Every other setting is fixed, and a masker ignores
+    keys it does not read, so one ``opts`` can serve every masker.
+    """
     check_fraction(fraction)
     opts = opts or {}
     if method in _SCORERS:
         return _SCORERS[method](params, board, rng, fraction, opts)
     if method not in _MAP_METHODS:
         raise UnknownMethod(f"{method!r}; maskers: {method_names()}")
-    return aggregate(saliency(method, params, board, rng, **opts), board)
+    return aggregate(saliency(method, params, board, rng), board)
 
 
 def select_features(
@@ -356,7 +348,9 @@ def select_features(
 ) -> frozenset:
     """The masker pipeline up to the coalition: score, then select.
 
-    The input baseline shows the complete board, so it reveals everything.
+    ``opts`` is ``piece_scores``'s: ``n`` for Shapley, ``iterations`` for
+    FW, every other setting fixed. The input baseline shows the complete
+    board, so it reveals everything.
     """
     if method == "input":
         fraction = 1.0

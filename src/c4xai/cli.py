@@ -69,6 +69,7 @@ def cmd_train(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         config = training.PPOConfig(**{**config.__dict__, **overrides})
+    args.seed = config.seed  # the sidecar records the seed the run used
     out_dir = args.out or "runs/train"
     result = training.train(config, out_dir, progress=_print_update)
     print(f"checkpoint: {result.checkpoint_path}")
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
         charfn.CharFnError,
         attribution.AttributionError,
         fwmask.FWError,
-        mcts.IllegalRecord,
+        mcts.MCTSError,
         harness.HarnessError,
         OSError,
         ValueError,

@@ -120,7 +120,7 @@ def ground_truth_score(
             scores = attribution.piece_scores(
                 method, params, case.board, rng, fraction=fraction
             )
-        top3 = attribution.select_top(scores, rng=rng, count=3)
+        top3 = attribution.select_top(scores, None, rng, count=3)
         hist[min(len(top3 & case.cells), 3)] += 1
     return hist
 
@@ -139,7 +139,9 @@ def masked_policy_mover(
 ) -> Callable:
     """The masker/player pipeline as a ``play_series`` chooser: game i
     selects and samples with ``rngs[i]``, around one forward for all
-    boards; ``method`` None plays on the full-information board."""
+    boards; ``method`` None plays on the full-information board.
+    ``opts`` may set ``n`` (Shapley permutations) and ``iterations`` (FW
+    iterations); every other masker setting is fixed."""
 
     def choose(indices, boards):
         revealed = None
@@ -211,12 +213,13 @@ def play_match(
     seed: int = 0,
     workers: int = 1,
     competitive: bool = False,
-    opts_a: Optional[dict] = None,
-    opts_b: Optional[dict] = None,
+    opts: Optional[dict] = None,
 ) -> MatchResult:
     """Masker-vs-masker match; method A moves first in ceil(n/2) games.
     ``workers`` accepts only 1; it stays while ``perfbench/workloads.py``
-    passes it."""
+    passes it. Both maskers read the one ``opts``: ``n`` sets the Shapley
+    masker's permutations, ``iterations`` the FW masker's, and every other
+    setting is fixed."""
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     if workers != 1:
@@ -224,7 +227,7 @@ def play_match(
     attribution.check_fraction(fraction)  # the input masker would not reach the check
     make_a, make_b = (
         partial(masked_policy_mover, params, method, fraction, competitive=competitive, opts=opts)
-        for method, opts in ((method_a, opts_a), (method_b, opts_b))
+        for method in (method_a, method_b)
     )
     games = engine.play_series(make_a, make_b, np.random.SeedSequence(seed).spawn(n_games))
     results_a = [a for a, _, _ in games]
@@ -401,9 +404,7 @@ def write_sidecar(
         "numpy_version": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "GOTO_NUM_THREADS": os.environ.get("GOTO_NUM_THREADS"),
-        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        **{name: os.environ.get(name) for name in network.BLAS_THREAD_VARS},
         "command": list(command),
         "seed": seed,
         "checkpoint_sha256": network.file_sha256(checkpoint_path) if checkpoint_path else None,

@@ -267,7 +267,7 @@ def _sample_chunks(n: int, sample_bytes: int, sample_work: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int) -> np.ndarray:
+def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
     """3x3 stride-1 conv of an NCHW-shaped batch, as NCHW-shaped NHWC memory.
 
     A batch whose im2col rows fit in _CHUNK_BYTES is one GEMM over them.
@@ -296,8 +296,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
 
         # two lanes share the budget: each chunk's rows fit in half of it
         _in_turns(chunk, _sample_chunks(n, 2 * sample_bytes, oh * ow * wmat.size))
-    if b is not None:
-        out += b
+    out += b
     return out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
@@ -646,6 +645,10 @@ def backward(
     return grads, d
 
 
+# the variables OpenBLAS reads its thread count from when it loads, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _helper_threads() -> int:
     """Threads that may run network work beside the calling one: 1 when
     the usable CPUs number at least twice the BLAS threads, else 0. Its
@@ -659,14 +662,12 @@ def _helper_threads() -> int:
 
     The BLAS thread count is not asked of the BLAS: it is read from the
     variables OpenBLAS (numpy's wheels) reads when it loads, in its
-    order OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS. With
-    none set OpenBLAS runs a thread per usable CPU and no helper
-    starts; nor does one when the first one set is not a positive
-    integer. A limit set at runtime, or another BLAS's own variable
-    (MKL_NUM_THREADS), is not seen.
+    order (``BLAS_THREAD_VARS``). With none set OpenBLAS runs a thread
+    per usable CPU and no helper starts; nor does one when the first
+    one set is not a positive integer. A limit set at runtime, or
+    another BLAS's own variable (MKL_NUM_THREADS), is not seen.
     """
-    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    value = next((os.environ[name] for name in names if name in os.environ), None)
+    value = next((os.environ[name] for name in BLAS_THREAD_VARS if name in os.environ), None)
     try:
         blas = int(value)
     except (TypeError, ValueError):

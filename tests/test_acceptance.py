@@ -498,7 +498,7 @@ def test_criterion_11_soft_pipeline_behaviour(desk_params):
         )
 
     match = harness.play_match(
-        "fw", "random", desk_params, 300, seed=111, opts_a={"iterations": 12}
+        "fw", "random", desk_params, 300, seed=111, opts={"iterations": 12}
     )
     share = match.score_a / 300.0
     if share < 0.45:

@@ -3,10 +3,12 @@
 from collections import Counter
 from itertools import combinations
 
+import math
+
 import numpy as np
 import pytest
 
-from c4xai import attribution, engine, network
+from c4xai import attribution, charfn, engine, fwmask, network
 
 
 def setup_case(seed=0, n_moves=8, channels=8, dtype=np.float64):
@@ -225,7 +227,7 @@ def test_select_top_counts():
     assert attribution.select_top(scores, 0.26, rng) == frozenset({(0, 0), (0, 1)})
     assert attribution.select_top(scores, 1.0, rng) == frozenset(scores)
     assert attribution.select_top({}, 0.5, rng) == frozenset()
-    assert attribution.select_top(scores, count=3, rng=rng) == frozenset(
+    assert attribution.select_top(scores, None, rng, count=3) == frozenset(
         {(0, 0), (0, 1), (0, 2)}
     )
     with pytest.raises(ValueError):
@@ -289,7 +291,7 @@ def test_unknown_method_raises():
     with pytest.raises(attribution.UnknownMethod):
         attribution.piece_scores("mystery", params, board, np.random.default_rng(0))
     with pytest.raises(attribution.UnknownMethod):
-        attribution.saliency("mystery", params, board)
+        attribution.saliency("mystery", params, board, np.random.default_rng(0))
     with pytest.raises(attribution.UnknownMethod):
         attribution.select_features("mystery", params, board, 0.5, np.random.default_rng(0))
 
@@ -351,6 +353,54 @@ def test_fw_scorer_budget_follows_fraction():
     )
     assert len(selected) == 4  # ceil(0.5 * 8)
     assert selected <= set(board.occupied_cells())
+
+
+def spy_on(monkeypatch, module, name, calls, record):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("n_moves", [1, 8])
+def test_shapley_masker_without_opts_samples_24_permutations_at_half(monkeypatch, n_moves):
+    params, board = setup_case(71, n_moves=n_moves)
+    calls = []
+    spy_on(monkeypatch, charfn, "partial_shapley", calls, lambda nu, p, n, rng, **kw: (p, n, kw))
+    scores = attribution.piece_scores("shapley", params, board, np.random.default_rng(5))
+    assert set(scores) == set(board.occupied_cells())
+    if n_moves == 1:
+        # t = 1 leaves no admissible position at p = 0.5, so it samples again at p = 0
+        assert calls == [(0.5, 24, {}), (0.0, 24, {})]
+    else:
+        assert calls == [(0.5, 24, {})]
+
+
+def test_shapley_masker_falls_back_only_on_an_empty_permutation_class(monkeypatch):
+    params, board = setup_case(71, n_moves=8)
+    calls = []
+
+    def out_of_range(nu, p, n, rng, **kw):
+        calls.append(p)
+        raise charfn.MaskOutOfRange("injected")
+
+    monkeypatch.setattr(charfn, "partial_shapley", out_of_range)
+    with pytest.raises(charfn.MaskOutOfRange):
+        attribution.piece_scores("shapley", params, board, np.random.default_rng(5))
+    assert calls == [0.5]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+def test_fw_masker_without_opts_runs_50_agnostic_iterations_at_budget_ceil(monkeypatch, fraction):
+    params, board = setup_case(79, n_moves=8)
+    configs = []
+    spy_on(monkeypatch, fwmask, "fw_optimize", configs, lambda params, board, cfg, **kw: (cfg, kw))
+    attribution.piece_scores("fw", params, board, np.random.default_rng(7), fraction=fraction)
+    k = max(1, math.ceil(fraction * board.turn))
+    assert configs == [(fwmask.FWConfig(k=k, iterations=50, step_rule="agnostic"), {})]
 
 
 def test_masking_can_flip_the_argmax():

@@ -7,8 +7,11 @@ per-module tests.
 """
 
 import csv
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import sys
 import textwrap
 from pathlib import Path
@@ -18,7 +21,8 @@ import pytest
 from hypothesis import find
 from hypothesis import strategies as st
 
-from c4xai import charfn, cli, engine, harness, network, training
+import c4xai
+from c4xai import charfn, cli, engine, harness, mcts, network, training
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,8 +65,15 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     meta = read_sidecar(log)
     assert meta["command"][0] == "c4xai"
     assert meta["config_sha256"] is not None
+    assert meta["seed"] == 5  # from the config: the command line names no seed
     out = capsys.readouterr().out
     assert "checkpoint:" in out
+
+
+def test_train_sidecar_records_the_default_seed(tmp_path):
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--games", "2", "--out", str(run_dir)]) == 0
+    assert read_sidecar(run_dir / "training_log.csv")["seed"] == 0
 
 
 def test_train_prints_one_line_per_update(tmp_path, capsys):
@@ -727,3 +738,28 @@ def test_oracle_score_past_the_int_digit_limit_exits_3(tmp_path, checkpoint, cap
     assert code == 3
     assert "oracle error:" in captured.err and "score too long" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def c4xai_exception_classes():
+    """Every exception class defined in a c4xai module."""
+    classes = []
+    for info in pkgutil.iter_modules(c4xai.__path__):
+        module = importlib.import_module(f"c4xai.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, Exception):
+                classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "exc", c4xai_exception_classes(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}"
+)
+def test_every_c4xai_exception_exits_2_or_3_without_traceback(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_optimal_moves", fail)
+    code = cli.main(["optimal-moves", "--checkpoint", "net.ckpt", "--record", "game.txt"])
+    assert code == (3 if issubclass(exc, mcts.OracleError) else 2)
+    err = capsys.readouterr().err
+    assert "injected failure" in err and "Traceback" not in err
