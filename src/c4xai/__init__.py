@@ -9,9 +9,15 @@ masker tournaments.
 
 __version__ = "0.1.0"
 
+
+class Error(Exception):
+    """Base of every c4xai error; the CLI exits 2 on one, 3 on an oracle failure."""
+
+
 from . import attribution, charfn, engine, fwmask, harness, mcts, network, training
 
 __all__ = [
+    "Error",
     "attribution",
     "charfn",
     "engine",

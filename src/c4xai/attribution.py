@@ -19,11 +19,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from . import charfn, engine, fwmask, network
+from . import Error, charfn, engine, fwmask, network
 from .csvio import write_csv
 
 
-class AttributionError(Exception):
+class AttributionError(Error):
     pass
 
 
@@ -254,6 +254,12 @@ def check_fraction(fraction) -> float:
     return fraction
 
 
+def check_method(method: str) -> None:
+    """UnknownMethod unless ``method`` names a registered masker."""
+    if method not in _MAP_METHODS and method not in _SCORERS:
+        raise UnknownMethod(f"{method!r}; maskers: {method_names()}")
+
+
 def select_top(
     scores: dict,
     fraction: Optional[float],
@@ -330,11 +336,10 @@ def piece_scores(
     keys it does not read, so one ``opts`` can serve every masker.
     """
     check_fraction(fraction)
+    check_method(method)
     opts = opts or {}
     if method in _SCORERS:
         return _SCORERS[method](params, board, rng, fraction, opts)
-    if method not in _MAP_METHODS:
-        raise UnknownMethod(f"{method!r}; maskers: {method_names()}")
     return aggregate(saliency(method, params, board, rng), board)
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import engine, network
+from . import Error, engine, network
 from .csvio import write_csv
 
 EXACT_LIMIT = 12  # 2^t coalition table guard
@@ -46,7 +46,7 @@ BLOCK_ROWS = 64  # queries per eval_masks block: one network forward
 MASK_BITS = 63  # players an int64 coalition bitmask can hold
 
 
-class CharFnError(Exception):
+class CharFnError(Error):
     pass
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attribution, charfn, engine, fwmask, harness, mcts, network, training
+from . import Error, attribution, charfn, engine, fwmask, harness, mcts, network, training
 from .csvio import write_csv
 
 
@@ -176,10 +176,12 @@ def cmd_saliency_dump(args) -> int:
 def cmd_groundtruth(args) -> int:
     # before harvesting, which can play thousands of games
     attribution.check_fraction(args.fraction)
+    methods = args.methods.split(",") if args.methods else list(attribution.method_names())
+    for method in methods:
+        attribution.check_method(method)
     params = network.load(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     cases = harness.harvest_ground_truth(params, args.cases, rng, confidence=args.confidence)
-    methods = args.methods.split(",") if args.methods else list(attribution.method_names())
     out = args.out or "groundtruth.csv"
     rows = []
     for method in methods:
@@ -337,18 +339,7 @@ def main(argv=None) -> int:
     except mcts.OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
-    except (
-        training.TrainingError,
-        network.NetworkError,
-        engine.EngineError,
-        charfn.CharFnError,
-        attribution.AttributionError,
-        fwmask.FWError,
-        mcts.MCTSError,
-        harness.HarnessError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

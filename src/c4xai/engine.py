@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import Error
+
 ROWS = 6
 COLS = 7
 CONNECT = 4
@@ -39,7 +41,7 @@ _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
 HIDDEN_CHAR = "?"
 
 
-class EngineError(Exception):
+class EngineError(Error):
     pass
 
 
@@ -239,9 +241,6 @@ def play_series(make_a: Callable, make_b: Callable, seeds) -> list:
 
     def choose(indices, boards):
         turn = boards[0].turn  # one ply's boards share a turn; A moves where i has its parity
-        # a lone game skips the split: 1.0 against 3.1 us a ply (2-core x86-64 host)
-        if len(indices) == 1:
-            return choosers[(indices[0] + turn) % 2](indices, boards)
         cols = {}
         for side, chooser in enumerate(choosers):
             ks = [k for k, i in enumerate(indices) if (i + turn) % 2 == side]
@@ -398,11 +397,7 @@ def board_from_text(text: str) -> BoardState:
     order = search([0] * COLS, [[EMPTY] * COLS for _ in range(ROWS)], 0, [])
     if order is None:
         raise UnreachablePosition("no legal move sequence reaches this position")
-    board = new_board()
-    for col in order:
-        board = apply_move(board, col)
-    assert board.cells == grid
-    return board
+    return replay(order)
 
 
 def replay(columns: Iterable[int]) -> BoardState:

@@ -16,14 +16,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import engine, network
+from . import Error, engine, network
 from .csvio import write_csv
 
 N_CELLS = engine.ROWS * engine.COLS
 LINE_SEARCH_GRID = 33  # step sizes the line-search rule tries, 0 to 1
 
 
-class FWError(Exception):
+class FWError(Error):
     pass
 
 
@@ -82,9 +82,6 @@ class _Objective:
 
     def values(self, ms: np.ndarray) -> np.ndarray:
         return np.array(self._forward(ms)[1])
-
-    def value(self, m: np.ndarray) -> float:
-        return self._forward(m[None])[1][0]
 
     def value_and_grad(self, m: np.ndarray):
         trace, (d_val,) = self._forward(m[None])
@@ -162,10 +159,7 @@ def fw_optimize(
             stalled = m_next.tobytes() == m.tobytes()
             if not stalled:
                 m = m_next
-                if tau + 1 < config.iterations:
-                    cur, grad = obj.value_and_grad(m)
-                else:
-                    cur = obj.value(m)
+                cur, grad = obj.value_and_grad(m)
                 if cur < best_d:
                     best_d, best_m = cur, m.copy()
         gaps.append(gap)

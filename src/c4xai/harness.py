@@ -27,11 +27,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__, attribution, engine, mcts, network
+from . import Error, __version__, attribution, engine, mcts, network
 from .csvio import write_csv
 
 
-class HarnessError(Exception):
+class HarnessError(Error):
     pass
 
 
@@ -225,6 +225,8 @@ def play_match(
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     attribution.check_fraction(fraction)  # the input masker would not reach the check
+    attribution.check_method(method_a)
+    attribution.check_method(method_b)
     make_a, make_b = (
         partial(masked_policy_mover, params, method, fraction, competitive=competitive, opts=opts)
         for method in (method_a, method_b)
@@ -285,12 +287,15 @@ def round_robin(
     fraction: float = 0.5,
     seed: int = 0,
 ) -> RoundRobinResult:
-    """Every unordered pair once; no self-pairings."""
+    """Every unordered pair once; no self-pairings. Every method is
+    checked before the first match."""
     methods = tuple(methods)
     if len(methods) < 2:
         raise ValueError("need at least two methods")
     if len(set(methods)) < len(methods):
         raise ValueError(f"repeated method in {methods}")
+    for method in methods:
+        attribution.check_method(method)
     pairs = list(combinations(methods, 2))
     pair_seeds = np.random.SeedSequence(seed).spawn(len(pairs))
     matches = []
@@ -329,11 +334,12 @@ def info_perf_curve(
     ``selector`` is any registered method; 'random' reproduces uniform
     random hiding. ``opponent`` is 'self' (full-information twin),
     'random', ('mcts', sims), or a move oracle: any object whose
-    ``best_move(board)`` returns (column, score or None). Every fraction
-    is checked before the first game.
+    ``best_move(board)`` returns (column, score or None). The selector
+    and every fraction are checked before the first game.
     """
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
+    attribution.check_method(selector)
     fractions = [attribution.check_fraction(f) for f in fractions]
     make_opponent = partial(_opponent_mover, opponent, params)
     rows = []

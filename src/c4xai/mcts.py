@@ -30,13 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import engine, network
+from . import Error, engine, network
 
-_SHIFTS = (1, 7, 8, 6)  # vertical, horizontal, both diagonals
 _COL_BITS = 7  # six playable rows plus a guard bit
 
 
-class MCTSError(Exception):
+class MCTSError(Error):
     pass
 
 
@@ -53,7 +52,7 @@ EXPLORATION = math.sqrt(2.0)  # the UCT exploration constant
 
 @dataclass(frozen=True)
 class MCTSConfig:
-    simulations: int = 500
+    simulations: int
 
     def __post_init__(self):
         if self.simulations < 1:
@@ -61,11 +60,13 @@ class MCTSConfig:
 
 
 def _bb_win(stones: int) -> bool:
-    for s in _SHIFTS:
-        m = stones & (stones >> s)
-        if m & (m >> (2 * s)):
-            return True
-    return False
+    """Four in a row among ``stones``: vertical, horizontal, both diagonals."""
+    return (
+        (m := stones & (stones >> 1)) & (m >> 2)
+        or (m := stones & (stones >> 7)) & (m >> 14)
+        or (m := stones & (stones >> 8)) & (m >> 16)
+        or (m := stones & (stones >> 6)) & (m >> 12)
+    ) != 0
 
 
 def _bb_from_board(board: engine.BoardState):
@@ -126,7 +127,7 @@ def _rollout(node: _Node, rng: np.random.Generator) -> float:
     One uniform number u per remaining ply, drawn up front, picks
     ``legal[int(u * len(legal))]`` among the open columns (ascending; a
     column leaves the list when it fills). The win test is ``_bb_win``
-    written out for the stones of the player who just moved."""
+    on the stones of the player who just moved."""
     if node.terminal == "win":
         return 1.0
     if node.terminal == "draw":
@@ -147,12 +148,7 @@ def _rollout(node: _Node, rng: np.random.Generator) -> float:
         bit = 1 << (col * _COL_BITS + height)
         moved = cur | bit
         occ |= bit
-        if (
-            (m := moved & (moved >> 1)) & (m >> 2)
-            or (m := moved & (moved >> 7)) & (m >> 14)
-            or (m := moved & (moved >> 8)) & (m >> 16)
-            or (m := moved & (moved >> 6)) & (m >> 12)
-        ):
+        if _bb_win(moved):
             return sign
         cur = occ ^ moved
         sign = -sign

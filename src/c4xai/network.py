@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import engine
+from . import Error, engine
 from .engine import COLS, ROWS
 
 N_ACTIONS = 7
@@ -78,7 +78,7 @@ CHECKPOINT_MAGIC = b"C4XNET"
 CHECKPOINT_VERSION = 1
 
 
-class NetworkError(Exception):
+class NetworkError(Error):
     pass
 
 

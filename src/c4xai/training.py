@@ -31,10 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine, network
+from . import Error, engine, network
 
 
-class TrainingError(Exception):
+class TrainingError(Error):
     pass
 
 
@@ -187,7 +187,7 @@ def _assign_terminal_rewards(transitions, out: engine.Outcome, gamma: float):
     fill_returns(transitions, gamma)
 
 
-def fill_returns(transitions, gamma: float = 0.75):
+def fill_returns(transitions, gamma: float):
     """Discounted returns along each player's own turn sequence."""
     tail = {}
     for tr in reversed(transitions):

@@ -102,7 +102,7 @@ def distortion(
         # caller pins the explained action; read its full-information prob
         obj.a_star = int(a_star)
         obj.p_full = float(obj.policy[a_star])
-    return obj.value(np.asarray(m, dtype=float))
+    return float(obj.values(np.asarray(m, dtype=float)[None])[0])
 
 
 def distortion_gradient(

@@ -294,6 +294,10 @@ def test_unknown_method_raises():
         attribution.saliency("mystery", params, board, np.random.default_rng(0))
     with pytest.raises(attribution.UnknownMethod):
         attribution.select_features("mystery", params, board, 0.5, np.random.default_rng(0))
+    with pytest.raises(attribution.UnknownMethod, match="'mystery'; maskers: "):
+        attribution.check_method("mystery")
+    for name in attribution.method_names():
+        attribution.check_method(name)
 
 
 @pytest.mark.parametrize(

@@ -641,6 +641,28 @@ def test_malformed_invocation_exits_without_traceback(tmp_path, checkpoint, caps
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("groundtruth --methods gradeint --cases 5 --confidence 0.99", "gradeint"),
+        ("tournament --methods gradient,input,nosuch --games-per-pair 100", "nosuch"),
+        ("curves --selector nosuch --fractions 1 --games 1", "nosuch"),
+    ],
+    ids=["groundtruth", "tournament", "curves"],
+)
+def test_an_unknown_masker_exits_2_before_any_game(
+    tmp_path, checkpoint, capsys, monkeypatch, line, name
+):
+    def no_games(*args, **kwargs):
+        raise AssertionError("a game started")
+
+    monkeypatch.setattr(engine, "play_lockstep", no_games)
+    argv = line.split() + ["--checkpoint", checkpoint, "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name!r}; maskers: " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fraction", ["5", "nan", "-0.5"])
 def test_groundtruth_checks_the_fraction_before_harvesting(checkpoint, monkeypatch, fraction):
     def harvest(*args, **kwargs):
@@ -763,3 +785,7 @@ def test_every_c4xai_exception_exits_2_or_3_without_traceback(monkeypatch, capsy
     assert code == (3 if issubclass(exc, mcts.OracleError) else 2)
     err = capsys.readouterr().err
     assert "injected failure" in err and "Traceback" not in err
+
+
+def test_every_c4xai_exception_derives_from_the_package_error():
+    assert [cls for cls in c4xai_exception_classes() if not issubclass(cls, c4xai.Error)] == []

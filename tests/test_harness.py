@@ -16,7 +16,7 @@ import pytest
 from oracles import play_series_one_by_one
 
 import c4xai
-from c4xai import attribution, engine, harness, network
+from c4xai import attribution, engine, harness, mcts, network
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +304,14 @@ def test_series_plays_each_game_as_it_would_alone(params, opponent):
     assert games == play_series_one_by_one(harness.random_mover, make_opponent, seeds)
     # the games leave the lockstep at different plies
     assert len({length for _, _, length in games}) > 1
+
+
+def test_a_one_game_network_series_plays_as_the_game_alone(params):
+    make_agent = partial(harness.masked_policy_mover, params, "gradient", 0.5)
+    make_opponent = lambda _: mcts.argmax_chooser(params)
+    seeds = np.random.SeedSequence(23).spawn(1)
+    games = engine.play_series(make_agent, make_opponent, seeds)
+    assert games == play_series_one_by_one(make_agent, make_opponent, seeds)
 
 
 def test_a_network_free_game_does_not_depend_on_the_game_count(params):
