@@ -4,6 +4,9 @@ Boards are immutable values. Rows are indexed bottom-up (row 0 is the
 bottom row), columns left to right. Coalitions of revealed colour
 features are sets of (row, col) coordinates over occupied cells, with
 the canonical feature order being column-major, bottom-up.
+The four-in-a-row rule is stated once, on bitboards (``bitboards``,
+``has_four``): ``outcome``, the move-order search of ``board_from_text``
+and the MCTS playouts all test it there.
 Every game runs through ``play_lockstep``, and every seeded series of
 games (matches, curves, MCTS benchmarks) through ``play_series``, in
 one process; a series repeats bit for bit for the same seeds.
@@ -12,7 +15,6 @@ one process; a series repeats bit for bit for the same seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import cycle
 from typing import Callable, Iterable, Optional
 
@@ -22,7 +24,6 @@ from . import Error
 
 ROWS = 6
 COLS = 7
-CONNECT = 4
 
 EMPTY = 0
 RED = 1
@@ -141,40 +142,56 @@ def apply_move(board: BoardState, column: int) -> BoardState:
     )
 
 
-@lru_cache(maxsize=1)
-def all_lines() -> tuple:
-    """The 69 possible four-in-a-row cell quadruples."""
-    return tuple(
-        tuple((row + i * dr, col + i * dc) for i in range(CONNECT))
-        for row in range(ROWS)
-        for col in range(COLS)
-        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1))  # right, up, up-right, up-left
-        if 0 <= row + (CONNECT - 1) * dr < ROWS and 0 <= col + (CONNECT - 1) * dc < COLS
+# The win rule on bitboards (Tromp's layout): cell (row, col) is bit
+# col * COL_BITS + row of one int per colour, and the guard bit atop each
+# column keeps runs from wrapping into the next column.
+COL_BITS = ROWS + 1
+_CELL_BITS = tuple(tuple(1 << (c * COL_BITS + r) for c in range(COLS)) for r in range(ROWS))
+
+
+def bitboards(cells) -> tuple:
+    """(red stones, blue stones) of a cell grid, read from all 42 cells."""
+    red = blue = 0
+    for line, bits in zip(cells, _CELL_BITS):
+        for v, bit in zip(line, bits):
+            if v == RED:
+                red |= bit
+            elif v == BLUE:
+                blue |= bit
+    return red, blue
+
+
+def has_four(stones: int) -> bool:
+    """Four in a row among ``stones``: vertical, horizontal, both diagonals."""
+    return (
+        (m := stones & (stones >> 1)) & (m >> 2)
+        or (m := stones & (stones >> 7)) & (m >> 14)
+        or (m := stones & (stones >> 8)) & (m >> 16)
+        or (m := stones & (stones >> 6)) & (m >> 12)
+    ) != 0
+
+
+def _fours(stones: int) -> frozenset:
+    """The cells of every run of four among ``stones``, overlines whole."""
+    run = 0
+    for d in (1, COL_BITS, COL_BITS + 1, COL_BITS - 1):  # as in has_four
+        start = stones & (stones >> d) & (stones >> 2 * d) & (stones >> 3 * d)
+        run |= start | (start << d) | (start << 2 * d) | (start << 3 * d)
+    return frozenset(
+        (bit % COL_BITS, bit // COL_BITS) for bit in range(COLS * COL_BITS) if run >> bit & 1
     )
 
 
-@lru_cache(maxsize=None)
-def _lines_at(row: int, col: int) -> tuple:
-    """The lines of ``all_lines`` that pass through (row, col)."""
-    return tuple(line for line in all_lines() if (row, col) in line)
-
-
 def outcome(board: BoardState) -> Outcome:
-    """Terminal status with the union of all completed lines."""
-    cells = board.cells
-    won = {RED: set(), BLUE: set()}
-    for line in all_lines():
-        (r0, c0), (r1, c1), (r2, c2), (r3, c3) = line
-        v = cells[r0][c0]
-        if v != EMPTY and v == cells[r1][c1] == cells[r2][c2] == cells[r3][c3]:
-            won[v].update(line)
-    if won[RED] and won[BLUE]:
-        # unreachable through legal play; favour the side that moved last
-        last = other(board.to_move)
-        return Outcome(_WIN_KIND[last], frozenset(won[last]))
-    for colour in (RED, BLUE):
-        if won[colour]:
-            return Outcome(_WIN_KIND[colour], frozenset(won[colour]))
+    """Terminal status with the union of all completed lines. A grid no
+    play reaches can hold a line of each colour; the side that moved
+    last then wins."""
+    red, blue = bitboards(board.cells)
+    last = other(board.to_move)
+    for colour in (last, board.to_move):
+        stones = red if colour == RED else blue
+        if has_four(stones):
+            return Outcome(_WIN_KIND[colour], _fours(stones))
     if board.turn == ROWS * COLS:
         return Outcome(DRAW)
     return Outcome(ONGOING)
@@ -363,10 +380,11 @@ def board_from_text(text: str) -> BoardState:
 
     # Depth-first search over column push orders. Placement row and colour
     # are forced per column, so the state is just the height tuple; prune
-    # states that complete a line before the last piece.
+    # placements that complete a line before the last piece.
     dead = set()
 
-    def search(heights, cells, ply, order):
+    def search(heights, mover, waiting, ply, order):
+        """``mover``: the stones of the side placing at ``ply``."""
         if ply == total:
             return order
         key = tuple(heights)
@@ -377,24 +395,18 @@ def board_from_text(text: str) -> BoardState:
             h = heights[col]
             if h >= col_totals[col] or targets[col][h] != colour:
                 continue
-            cells[h][col] = colour
-            for (r0, c0), (r1, c1), (r2, c2), (r3, c3) in (
-                _lines_at(h, col) if ply < total - 1 else ()
-            ):
-                if cells[r0][c0] == cells[r1][c1] == cells[r2][c2] == cells[r3][c3]:
-                    break
-            else:
-                heights[col] += 1
-                found = search(heights, cells, ply + 1, order + [col])
-                heights[col] -= 1
-                if found is not None:
-                    cells[h][col] = EMPTY
-                    return found
-            cells[h][col] = EMPTY
+            placed = mover | 1 << (col * COL_BITS + h)
+            if ply < total - 1 and has_four(placed):
+                continue
+            heights[col] += 1
+            found = search(heights, waiting, placed, ply + 1, order + [col])
+            heights[col] -= 1
+            if found is not None:
+                return found
         dead.add(key)
         return None
 
-    order = search([0] * COLS, [[EMPTY] * COLS for _ in range(ROWS)], 0, [])
+    order = search([0] * COLS, 0, 0, 0, [])
     if order is None:
         raise UnreachablePosition("no legal move sequence reaches this position")
     return replay(order)

@@ -5,10 +5,9 @@ of the game. Node statistics are kept from the perspective of the
 player whose move created the node, so selection always maximizes the
 parent mover's interest. Each node keeps its untried columns in
 ascending order; expansion takes one of them uniformly at random.
-Rollouts run on a bitboard (7 bits per column, one guard bit) and draw
-all their random numbers as one ``rng.random`` block, one number per
-remaining ply; they are cross-checked against the authoritative engine
-in the test suite.
+Nodes and rollouts keep the engine's bitboards (``engine.bitboards``)
+and test wins with ``engine.has_four``; a rollout draws all its random
+numbers as one ``rng.random`` block, one number per remaining ply.
 
 ``benchmark`` plays a trained agent against the search through
 ``engine.play_series``, all games in lockstep. A move oracle is any
@@ -31,8 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import Error, engine, network
-
-_COL_BITS = 7  # six playable rows plus a guard bit
+from .engine import COL_BITS, has_four
 
 
 class MCTSError(Error):
@@ -59,34 +57,6 @@ class MCTSConfig:
             raise ValueError("simulations must be >= 1")
 
 
-def _bb_win(stones: int) -> bool:
-    """Four in a row among ``stones``: vertical, horizontal, both diagonals."""
-    return (
-        (m := stones & (stones >> 1)) & (m >> 2)
-        or (m := stones & (stones >> 7)) & (m >> 14)
-        or (m := stones & (stones >> 8)) & (m >> 16)
-        or (m := stones & (stones >> 6)) & (m >> 12)
-    ) != 0
-
-
-def _bb_from_board(board: engine.BoardState):
-    """(side-to-move stones, all stones, per-column heights)."""
-    cur = 0
-    occ = 0
-    heights = [0] * engine.COLS
-    for col in range(engine.COLS):
-        for row in range(engine.ROWS):
-            v = board.cells[row][col]
-            if v == engine.EMPTY:
-                break
-            bit = 1 << (col * _COL_BITS + row)
-            occ |= bit
-            if v == board.to_move:
-                cur |= bit
-            heights[col] = row + 1
-    return cur, occ, heights
-
-
 class _Node:
     __slots__ = ("cur", "occ", "heights", "ply", "terminal", "untried", "children", "n", "w")
 
@@ -104,13 +74,13 @@ class _Node:
 
 
 def _child(node: _Node, col: int) -> _Node:
-    bit = 1 << (col * _COL_BITS + node.heights[col])
+    bit = 1 << (col * COL_BITS + node.heights[col])
     moved = node.cur | bit
     occ = node.occ | bit
     heights = list(node.heights)
     heights[col] += 1
     ply = node.ply + 1
-    if _bb_win(moved):
+    if has_four(moved):
         terminal = "win"
     elif ply == engine.ROWS * engine.COLS:
         terminal = "draw"
@@ -126,7 +96,7 @@ def _rollout(node: _Node, rng: np.random.Generator) -> float:
 
     One uniform number u per remaining ply, drawn up front, picks
     ``legal[int(u * len(legal))]`` among the open columns (ascending; a
-    column leaves the list when it fills). The win test is ``_bb_win``
+    column leaves the list when it fills). The win test is ``has_four``
     on the stones of the player who just moved."""
     if node.terminal == "win":
         return 1.0
@@ -145,10 +115,10 @@ def _rollout(node: _Node, rng: np.random.Generator) -> float:
         heights[col] = height + 1
         if height + 1 == rows:
             legal.remove(col)
-        bit = 1 << (col * _COL_BITS + height)
+        bit = 1 << (col * COL_BITS + height)
         moved = cur | bit
         occ |= bit
-        if _bb_win(moved):
+        if has_four(moved):
             return sign
         cur = occ ^ moved
         sign = -sign
@@ -168,8 +138,10 @@ def mcts_search(
 ) -> SearchResult:
     if engine.outcome(board).is_terminal:
         raise MCTSError("search from a terminal position")
-    cur, occ, heights = _bb_from_board(board)
-    root = _Node(cur, occ, heights, board.turn, None)
+    red, blue = engine.bitboards(board.cells)
+    cur = red if board.to_move == engine.RED else blue
+    heights = [board.column_height(col) for col in range(engine.COLS)]
+    root = _Node(cur, red | blue, heights, board.turn, None)
     c = EXPLORATION
     for _ in range(config.simulations):
         node = root

@@ -22,7 +22,6 @@ bit, depends on ``update_every``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -32,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import Error, engine, network
+from .csvio import write_csv
 
 
 class TrainingError(Error):
@@ -312,16 +312,15 @@ def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> Tr
     Games are played in chunks of ``update_every`` (fewer for the last
     chunk) and each full chunk ends in one update. ``progress(game, row)``
     fires once per game in order, and a checkpoint at game g holds the
-    params of the last update at or before g.
+    params of the last update at or before g. Each update's row goes to
+    ``training_log.csv`` before the next chunk's games, so a run that
+    raises keeps the rows written so far.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     arch = network.ArchDescriptor(conv_channels=config.conv_channels)
     params = network.init(arch, rng, dtype=np.float32)
-    opt_state = init_adam_state(params)
-
-    log_path = out / "training_log.csv"
     history = []
 
     def finish_game(game):
@@ -330,9 +329,9 @@ def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> Tr
         if progress is not None:
             progress(game, history[-1] if history else None)
 
-    with open(log_path, "w", newline="") as log_fh:
-        writer = csv.writer(log_fh)
-        writer.writerow(LOG_COLUMNS)
+    def log_rows():  # the update loop, consumed row by row by write_csv
+        nonlocal params
+        opt_state = init_adam_state(params)
         played = 0
         while played < config.total_games:
             chunk = min(config.update_every, config.total_games - played)
@@ -352,12 +351,12 @@ def train(config: PPOConfig, out_dir, progress: Optional[callable] = None) -> Tr
                     "illegal_rate": illegal / chunk,  # one -2 row per illegal game
                 }
                 history.append(row)
-                writer.writerow([row[c] for c in LOG_COLUMNS])
+                yield [row[c] for c in LOG_COLUMNS]
             finish_game(played)
+
+    log_path = write_csv(out / "training_log.csv", LOG_COLUMNS, log_rows())
     ckpt = _save_checkpoint(params, config, config.total_games, out / "checkpoint_final.ckpt")
-    return TrainResult(
-        checkpoint_path=ckpt, log_path=str(log_path), config=config, history=history
-    )
+    return TrainResult(checkpoint_path=ckpt, log_path=log_path, config=config, history=history)
 
 
 def _save_checkpoint(params, config, games, path) -> str:

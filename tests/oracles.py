@@ -6,8 +6,9 @@ double loop over masks sums the p = 0 subset form term by term, ``QueryLog``
 records which coalition sizes an estimator asks for,
 ``distortion`` and ``distortion_gradient`` expose the FW objective and
 its gradient on their own, ``play_one_game`` is a plain rules loop
-without ``engine.play_lockstep``, and ``play_series_one_by_one`` plays a
-series through it one game at a time.
+without ``engine.play_lockstep``, ``play_series_one_by_one`` plays a
+series through it one game at a time, and ``scan`` finds completed
+lines by testing each of the 69 four-cell windows, without bitboards.
 """
 
 import math
@@ -18,6 +19,33 @@ import numpy as np
 from c4xai import charfn, engine, fwmask, network
 
 PERM_LIMIT = 8  # t! enumeration guard
+
+
+def scanner_lines() -> list:
+    """Every four-cell window of the 6x7 grid, by direct enumeration."""
+    lines = []
+    for r in range(engine.ROWS):
+        for c in range(engine.COLS):
+            for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+                cells = tuple((r + i * dr, c + i * dc) for i in range(4))
+                if all(0 <= rr < engine.ROWS and 0 <= cc < engine.COLS for rr, cc in cells):
+                    lines.append(cells)
+    return lines
+
+
+_LINE_IDX = np.array(scanner_lines())  # (69, 4, 2)
+
+
+def scan(cells) -> dict:
+    """player -> union of completed-line cells, via the flat window list."""
+    arr = np.asarray(cells)
+    vals = arr[_LINE_IDX[:, :, 0], _LINE_IDX[:, :, 1]]  # (69, 4)
+    out = {}
+    for player in (engine.RED, engine.BLUE):
+        won = np.all(vals == player, axis=1)
+        if won.any():
+            out[player] = {tuple(c) for line in _LINE_IDX[won] for c in line}
+    return out
 
 
 def exact_partial_shapley(nu: charfn.CharacteristicFn, p: float) -> charfn.ShapleyResult:

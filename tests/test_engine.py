@@ -9,51 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c4xai import engine
-from oracles import play_one_game
-
-
-# --- independent oracle: direct enumeration of all 4-windows ---------------
-
-def scanner_lines():
-    lines = []
-    for r in range(engine.ROWS):
-        for c in range(engine.COLS):
-            for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-                cells = tuple((r + i * dr, c + i * dc) for i in range(4))
-                if all(0 <= rr < engine.ROWS and 0 <= cc < engine.COLS for rr, cc in cells):
-                    lines.append(cells)
-    return lines
-
-
-_LINES = scanner_lines()
-_LINE_IDX = np.array(_LINES)  # (69, 4, 2)
-
-
-def scan(cells) -> dict:
-    """player -> union of completed-line cells, via the flat window list."""
-    arr = np.asarray(cells)
-    vals = arr[_LINE_IDX[:, :, 0], _LINE_IDX[:, :, 1]]  # (69, 4)
-    out = {}
-    for player in (engine.RED, engine.BLUE):
-        won = np.all(vals == player, axis=1)
-        if won.any():
-            out[player] = {tuple(c) for line in _LINE_IDX[won] for c in line}
-    return out
+from oracles import play_one_game, scan, scanner_lines
 
 
 def test_line_count_is_69():
-    assert len(_LINES) == 69
-    assert len(set(map(frozenset, _LINES))) == 69
-
-
-def test_all_lines_matches_enumeration():
-    got = {frozenset(line) for line in engine.all_lines()}
-    want = {frozenset(line) for line in _LINES}
-    assert got == want
+    lines = scanner_lines()
+    assert len(lines) == 69
+    assert len(set(map(frozenset, lines))) == 69
 
 
 def random_playout(rng, record=False):
@@ -179,6 +145,40 @@ def test_both_colours_on_a_line_report_the_last_mover(to_move):
     else:
         assert out.kind == engine.BLUE_WINS
         assert out.winning_cells == frozenset((r, 6) for r in range(1, 5))
+
+
+# arbitrary grids over {empty, red, blue}: no gravity, no balance
+CELL_GRIDS = st.lists(
+    st.lists(st.sampled_from((engine.EMPTY, engine.RED, engine.BLUE)), min_size=7, max_size=7),
+    min_size=6,
+    max_size=6,
+)
+# a red overline on the bottom row and a blue column floating over an empty cell
+_E, _R, _B = engine.EMPTY, engine.RED, engine.BLUE
+FLOATING_BOTH = [[_R] * 5 + [_E, _E]] + [[_E] * 6 + [_B]] * 4 + [[_E] * 7]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cells=CELL_GRIDS, to_move=st.sampled_from((engine.RED, engine.BLUE)))
+@example(cells=FLOATING_BOTH, to_move=engine.RED)
+@example(cells=FLOATING_BOTH, to_move=engine.BLUE)
+def test_outcome_matches_scanner_on_arbitrary_grids(cells, to_move):
+    # every cell counts, floating or not; with a line of each colour the
+    # side that moved last wins; a grid of 42 pieces without one is a draw
+    pieces = sum(v != engine.EMPTY for row in cells for v in row)
+    board = engine.BoardState(
+        cells=tuple(map(tuple, cells)), to_move=to_move, history=((0, engine.RED),) * pieces
+    )
+    byscan = scan(cells)
+    last = engine.other(to_move)
+    winner = last if last in byscan else next(iter(byscan), None)
+    out = engine.outcome(board)
+    if winner is None:
+        assert out.kind == (engine.DRAW if pieces == 42 else engine.ONGOING)
+        assert out.winning_cells == frozenset()
+    else:
+        assert out.kind == (engine.RED_WINS if winner == engine.RED else engine.BLUE_WINS)
+        assert out.winning_cells == frozenset(byscan[winner])
 
 
 # --- game runner ------------------------------------------------------------
@@ -438,6 +438,69 @@ def test_board_from_text_raises_only_typed_errors(text):
         return
     assert engine.text_to_cells(engine.board_to_text(board)) == engine.text_to_cells(text)
     assert engine.replay([c for c, _ in board.history]).cells == board.cells
+
+
+def pin_texts() -> list:
+    """Twenty texts from a seeded rng, alternating: a random-playout
+    position, then a grid of stacked random columns holding equal red and
+    blue counts (one more red when odd)."""
+    rng = np.random.default_rng(2029)
+    texts = []
+    for i in range(20):
+        if i % 2:
+            n = int(rng.integers(6, 31))
+            colours = rng.permutation(["r"] * ((n + 1) // 2) + ["b"] * (n // 2))
+            slots = rng.choice(np.repeat(np.arange(7), 6), n, replace=False)
+            stack = iter(colours)
+            cols = ["".join(next(stack) for _ in range(h)) for h in np.bincount(slots, minlength=7)]
+            rows = ("".join(c[r] if r < len(c) else "." for c in cols) for r in range(5, -1, -1))
+            texts.append("\n".join(rows))
+        else:
+            board = engine.new_board()
+            stop = int(rng.integers(8, 43))
+            while board.turn < stop and not engine.outcome(board).is_terminal:
+                legal = board.legal_moves()
+                board = engine.apply_move(board, legal[int(rng.integers(len(legal)))])
+            texts.append(engine.board_to_text(board))
+    return texts
+
+
+# board_from_text on pin_texts(), recorded once: the synthesized move order
+# as a column string, or the UnreachablePosition message
+NO_ORDER = "no legal move sequence reaches this position"
+BOARD_FROM_TEXT_PINS = [
+    "0020213111125354",
+    "0012115353344646465",
+    "511152232364",
+    NO_ORDER,
+    "30313252626444443",
+    "200103132535354646465",
+    "004161633132343",
+    "20246666",
+    "100021411141526333343565556",
+    "20010010012133535464644545656",
+    "10030011232446636",
+    "10206162226334334346655",
+    "02020311211322233545556646446660",
+    NO_ORDER,
+    "102115443",
+    NO_ORDER,
+    "2001001334335566565",
+    NO_ORDER,
+    "0011214365",
+    "10425223536",
+]
+
+
+def test_board_from_text_move_order_is_pinned():
+    # the order feeds BoardState.history, and with it the golden harvest pin
+    got = []
+    for text in pin_texts():
+        try:
+            got.append("".join(str(c) for c, _ in engine.board_from_text(text).history))
+        except engine.UnreachablePosition as exc:
+            got.append(str(exc))
+    assert got == BOARD_FROM_TEXT_PINS
 
 
 def test_replay_and_key():

@@ -1,7 +1,8 @@
 """Search opponent and oracle plumbing.
 
-The bitboard playout core is cross-checked move by move against the
-authoritative engine, the tactical checks pin minimum reliability on
+The engine's bitboard win test and builder, which nodes and rollouts
+use, are checked against a window scanner; rollouts are replayed move
+by move on the engine; the tactical checks pin minimum reliability on
 one-move wins and forced blocks, and the external oracle client is
 exercised against a real child process speaking the line protocol.
 """
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4xai import engine, mcts, network
+from oracles import scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,10 +47,7 @@ def colour_bitboards(board):
 
 
 def scanner_win(board, colour):
-    for line in engine.all_lines():
-        if all(board.cells[r][c] == colour for r, c in line):
-            return True
-    return False
+    return colour in scan(board.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +61,14 @@ class TestBitboard:
             board = engine.new_board()
             while not engine.outcome(board).is_terminal:
                 red, blue = colour_bitboards(board)
-                cur, occ, heights = mcts._bb_from_board(board)
-                assert occ == red | blue
-                assert cur == (red if board.to_move == engine.RED else blue)
-                assert heights == [board.column_height(c) for c in range(engine.COLS)]
-                assert mcts._bb_win(red) == scanner_win(board, engine.RED)
-                assert mcts._bb_win(blue) == scanner_win(board, engine.BLUE)
+                assert engine.bitboards(board.cells) == (red, blue)
+                assert engine.has_four(red) == scanner_win(board, engine.RED)
+                assert engine.has_four(blue) == scanner_win(board, engine.BLUE)
                 legal = board.legal_moves()
                 board = engine.apply_move(board, legal[int(rng.integers(len(legal)))])
             red, blue = colour_bitboards(board)
-            assert mcts._bb_win(red) == scanner_win(board, engine.RED)
-            assert mcts._bb_win(blue) == scanner_win(board, engine.BLUE)
+            assert engine.has_four(red) == scanner_win(board, engine.RED)
+            assert engine.has_four(blue) == scanner_win(board, engine.BLUE)
 
     def test_win_patterns_by_direction(self):
         def bits(cells):
@@ -81,17 +77,17 @@ class TestBitboard:
                 out |= 1 << (col * 7 + row)
             return out
 
-        assert mcts._bb_win(bits([(2, 1), (2, 2), (2, 3), (2, 4)]))  # vertical
-        assert mcts._bb_win(bits([(0, 0), (1, 0), (2, 0), (3, 0)]))  # horizontal
-        assert mcts._bb_win(bits([(0, 0), (1, 1), (2, 2), (3, 3)]))  # diagonal
-        assert mcts._bb_win(bits([(0, 3), (1, 2), (2, 1), (3, 0)]))  # anti-diagonal
-        assert not mcts._bb_win(bits([(0, 0), (1, 0), (2, 0), (4, 0)]))
+        assert engine.has_four(bits([(2, 1), (2, 2), (2, 3), (2, 4)]))  # vertical
+        assert engine.has_four(bits([(0, 0), (1, 0), (2, 0), (3, 0)]))  # horizontal
+        assert engine.has_four(bits([(0, 0), (1, 1), (2, 2), (3, 3)]))  # diagonal
+        assert engine.has_four(bits([(0, 3), (1, 2), (2, 1), (3, 0)]))  # anti-diagonal
+        assert not engine.has_four(bits([(0, 0), (1, 0), (2, 0), (4, 0)]))
 
     def test_guard_bit_blocks_column_wraparound(self):
         # two stones atop column 0 plus two at the base of column 1 would be
         # bit-adjacent without the guard bit
         stones = (1 << 4) | (1 << 5) | (1 << 7) | (1 << 8)
-        assert not mcts._bb_win(stones)
+        assert not engine.has_four(stones)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,10 @@ def replay_rollout(board, uniforms):
 
 
 def leaf(board):
-    cur, occ, heights = mcts._bb_from_board(board)
-    return mcts._Node(cur, occ, heights, board.turn, None)
+    red, blue = engine.bitboards(board.cells)
+    cur = red if board.to_move == engine.RED else blue
+    heights = [board.column_height(c) for c in range(engine.COLS)]
+    return mcts._Node(cur, red | blue, heights, board.turn, None)
 
 
 class TestRolloutAndNodes:

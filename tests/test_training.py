@@ -558,3 +558,22 @@ class TestTrainLoop:
             assert 0.0 <= row["illegal_rate"] <= 1.0
             assert np.isfinite(row["policy_loss"])
             assert np.isfinite(row["value_loss"])
+
+    def test_a_raising_run_keeps_the_rows_written_so_far(self, tmp_path, monkeypatch):
+        # the game-5 row reaches the log before the second chunk's games start
+        cfg = small_config(total_games=12, update_every=5, checkpoint_every=0, seed=1)
+        real = training.self_play_episode
+        chunks = []
+
+        def fail_on_second_chunk(*args, **kwargs):
+            chunks.append(kwargs["games"])
+            if len(chunks) == 2:
+                raise RuntimeError("second chunk")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "self_play_episode", fail_on_second_chunk)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            training.train(cfg, tmp_path)
+        log_lines = (tmp_path / "training_log.csv").read_text().splitlines()
+        assert log_lines[0] == ",".join(training.LOG_COLUMNS)
+        assert len(log_lines) == 2 and log_lines[1].startswith("5,")
