@@ -9,7 +9,8 @@ Colours alternate between games; an illegal move loses the game for the
 offender and is also tallied separately.
 
 Matches, curves and ``play_vs_random`` play their games in lockstep
-through ``engine.play_series``, one forward per ply for a network side.
+through ``engine.play_series``. A network side moves by the one ply rule
+of ``network.policy_mover``: reveal, one forward per ply, pick.
 All randomness flows from one root seed through per-game child rngs,
 so results are bit-exact on reruns with the same seed and game count.
 """
@@ -75,13 +76,11 @@ def harvest_ground_truth(
     cases = []
     last = None  # the latest move: (board before it, column, was argmax, probability)
 
-    def choose(_, boards):
+    def record(_, board, x, policy, value, action):
         nonlocal last
-        policy = network.forward_boards(params, boards).policy[0]
-        action = network.sample_action(policy, rng)
-        last = (boards[0], action, action == int(np.argmax(policy)), float(policy[action]))
-        return [action]
+        last = (board, action, action == int(np.argmax(policy)), float(policy[action]))
 
+    choose = network.policy_mover(params, [rng], on_move=record)
     for _ in range(game_cap):
         if len(cases) >= n_cases:
             break
@@ -137,25 +136,18 @@ def masked_policy_mover(
     competitive: bool = False,
     opts: Optional[dict] = None,
 ) -> Callable:
-    """The masker/player pipeline as a ``play_series`` chooser: game i
-    selects and samples with ``rngs[i]``, around one forward for all
-    boards; ``method`` None plays on the full-information board.
-    ``opts`` may set ``n`` (Shapley permutations) and ``iterations`` (FW
-    iterations); every other masker setting is fixed."""
-
-    def choose(indices, boards):
-        revealed = None
-        if method is not None:
-            revealed = [
-                attribution.select_features(method, params, board, fraction, rngs[i], opts=opts)
-                for i, board in zip(indices, boards)
-            ]
-        policies = network.forward_boards(params, boards, revealed).policy
-        if competitive:
-            return np.argmax(policies, axis=1).tolist()
-        return [network.sample_action(policy, rngs[i]) for i, policy in zip(indices, policies)]
-
-    return choose
+    """The masker/player pipeline as a ``play_series`` chooser:
+    ``network.policy_mover`` with ``attribution.select_features`` as its
+    reveal, game i on ``rngs[i]``, taking the argmax when ``competitive``;
+    ``method`` None plays on the full-information board. ``opts`` may set
+    ``n`` (Shapley permutations) and ``iterations`` (FW iterations);
+    every other masker setting is fixed."""
+    reveal = None
+    if method is not None:
+        reveal = lambda board, rng: attribution.select_features(
+            method, params, board, fraction, rng, opts=opts
+        )
+    return network.policy_mover(params, rngs, reveal, argmax=competitive)
 
 
 def random_mover(rngs: Sequence[np.random.Generator]) -> Callable:
@@ -311,7 +303,7 @@ def round_robin(
 
 def _opponent_mover(opponent, params, rngs):
     if opponent == "self":
-        return masked_policy_mover(params, None, 1.0, rngs)
+        return network.policy_mover(params, rngs)
     if opponent == "random":
         return random_mover(rngs)
     if isinstance(opponent, tuple) and opponent and opponent[0] == "mcts":
@@ -379,7 +371,8 @@ def play_vs_random(
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n_games)
-    games = engine.play_series(lambda _: mcts.argmax_chooser(params), random_mover, seeds)
+    make_agent = partial(network.policy_mover, params, argmax=True)
+    games = engine.play_series(make_agent, random_mover, seeds)
     return mcts.WinStats.tally([agent for agent, _, _ in games], seeds)
 
 

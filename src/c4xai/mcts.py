@@ -10,9 +10,11 @@ and test wins with ``engine.has_four``; a rollout draws all its random
 numbers as one ``rng.random`` block, one number per remaining ply.
 
 ``benchmark`` plays a trained agent against the search through
-``engine.play_series``, all games in lockstep. A move oracle is any
-object with best_move(board) -> (column, score|None); an external
-perfect solver plugs in as one over a line protocol on standard streams.
+``engine.play_series``, all games in lockstep; the agent is
+``network.policy_mover`` with ``argmax``, whose docstring states the
+ply rule. A move oracle is any object with best_move(board) -> (column,
+score|None); an external perfect solver plugs in as one over a line
+protocol on standard streams.
 """
 
 from __future__ import annotations
@@ -223,12 +225,6 @@ class WinStats:
         )
 
 
-def argmax_chooser(params: network.NetworkParams) -> Callable:
-    """Competitive play as a ``play_series`` chooser: the most likely
-    action under full information, one forward per ply."""
-    return lambda _, boards: np.argmax(network.forward_boards(params, boards).policy, 1).tolist()
-
-
 def benchmark(
     params: network.NetworkParams, mcts_config: MCTSConfig, n_games: int, seed: int = 0
 ) -> WinStats:
@@ -238,9 +234,8 @@ def benchmark(
     if n_games < 1:
         raise ValueError("n_games must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n_games)
-    games = engine.play_series(
-        lambda _: argmax_chooser(params), partial(search_mover, mcts_config), seeds
-    )
+    make_agent = partial(network.policy_mover, params, argmax=True)
+    games = engine.play_series(make_agent, partial(search_mover, mcts_config), seeds)
     return WinStats.tally([agent for agent, _, _ in games], seeds)
 
 
@@ -250,7 +245,6 @@ def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
     record = [int(c) for c in game_record]
     if len(record) != 41:
         raise IllegalRecord(f"expected 41 moves, got {len(record)}")
-    choose = argmax_chooser(params)
     board = engine.new_board()
     count = 0
     for i, col in enumerate(record):
@@ -258,7 +252,7 @@ def count_optimal_moves(params: network.NetworkParams, game_record) -> int:
             raise IllegalRecord(f"game over before move {i}")
         if col not in board.legal_moves():
             raise IllegalRecord(f"illegal move {col} at ply {i}")
-        if choose([0], [board]) == [col]:
+        if int(np.argmax(network.forward_boards(params, [board]).policy[0])) == col:
             count += 1
         board = engine.apply_move(board, col)
     return count

@@ -232,13 +232,12 @@ def _windows(x: np.ndarray, pad: int) -> np.ndarray:
     return np.ndarray((n, oh, ow, 3, 3, c_in), xp.dtype, xp, strides=(s0, s1, s2, s1, s2, s3))
 
 
-def _im2col(x: np.ndarray, pad: int):
+def _im2col(x: np.ndarray, pad: int) -> np.ndarray:
     """(n * OH * OW, 9 C_in) patch rows of an NCHW-shaped input, K in (ky, kx, c_in) order."""
     win = _windows(x, pad)
-    n, oh, ow, _, _, c_in = win.shape
     # one copy of the window view: each (kx, c_in) run of the NHWC buffer
     # is contiguous, so rows are copied 3 C_in at a time
-    return win.reshape(n * oh * ow, 9 * c_in), oh, ow
+    return win.reshape(-1, 9 * x.shape[1])
 
 
 # Below this M * K * N, OpenBLAS (scipy-openblas 0.3.31, 1 thread) rounds a
@@ -283,8 +282,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.nd
     if n * sample_bytes <= _CHUNK_BYTES:
         # the batch-1 fast path: through _sample_chunks, a C = 64 batch-1 forward
         # took 189.0 against 174.7 us (minimum of 5 processes, 2-core x86-64 host)
-        cols, _, _ = _im2col(x, pad)
-        out = cols @ _wmat(w)
+        out = _im2col(x, pad) @ _wmat(w)
     else:
         wmat = _wmat(w)
         out = np.empty((n * oh * ow, w.shape[0]), dtype=np.result_type(x, w))
@@ -292,7 +290,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.nd
         def chunk(bounds):
             start, end = bounds
             # no name holds a chunk's rows, so they are freed before the lane's next chunk
-            np.matmul(_im2col(x[start:end], pad)[0], wmat, out=out[start * oh * ow : end * oh * ow])
+            np.matmul(_im2col(x[start:end], pad), wmat, out=out[start * oh * ow : end * oh * ow])
 
         # two lanes share the budget: each chunk's rows fit in half of it
         _in_turns(chunk, _sample_chunks(n, 2 * sample_bytes, oh * ow * wmat.size))
@@ -300,21 +298,16 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.nd
     return out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
-@lru_cache(maxsize=None)
-def _window_table(h: int, w: int):
-    """Window bitmasks and cell tags of an H x W grid, each (H * W,) int64.
-
-    Bit j of a cell's window is set when cell j (row-major) is within 2
-    rows and columns of it: the 5x5 input window that a padded 3x3 conv
-    of a padded 3x3 conv reads. Its tag is its own index shifted above
-    bit H * W, so keys of different cells never collide.
-    """
-    y, x = np.divmod(np.arange(h * w), w)
-    near = (abs(y[:, None] - y) <= 2) & (abs(x[:, None] - x) <= 2)
-    table = (near.astype(np.int64) << np.arange(h * w)).sum(axis=1)
-    tags = np.arange(h * w, dtype=np.int64) << (h * w)
-    table.flags.writeable = tags.flags.writeable = False
-    return table, tags
+# Window bitmasks and cell tags of the 6x7 grid, each (42,) int64. Bit j of
+# a cell's window is set when cell j (row-major) is within 2 rows and columns
+# of it: the 5x5 input window that a padded 3x3 conv of a padded 3x3 conv
+# reads. Its tag is its own index shifted above bit 42, so keys of different
+# cells never collide.
+_CELLS = np.arange(ROWS * COLS, dtype=np.int64)
+_Y, _X = np.divmod(_CELLS, COLS)
+_WINDOW_TABLE = (((abs(_Y[:, None] - _Y) <= 2) & (abs(_X[:, None] - _X) <= 2)) << _CELLS).sum(1)
+_CELL_TAGS = _CELLS << (ROWS * COLS)
+_WINDOW_TABLE.flags.writeable = _CELL_TAGS.flags.writeable = False
 
 
 def _shared_conv2_rows(masks: np.ndarray, c: int):
@@ -336,21 +329,13 @@ def _shared_conv2_rows(masks: np.ndarray, c: int):
     # byte equality also turns away -0.0, which masks a cell to other bits than 0.0
     if one.astype(flat.dtype).tobytes() != flat.tobytes():
         return None
-    bits = (one.astype(np.int64) << np.arange(ROWS * COLS)).sum(axis=1)
-    table, tags = _window_table(ROWS, COLS)
-    keys = ((bits[:, None] & table) | tags).reshape(-1)
-    # np.unique(keys, return_index=True, return_inverse=True) from one
-    # stable sort: ``first`` is each key's first row, in key order
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    first = order[new]
+    bits = (one.astype(np.int64) << _CELLS).sum(axis=1)
+    keys = ((bits[:, None] & _WINDOW_TABLE) | _CELL_TAGS).reshape(-1)
+    # np.unique sorts stably when asked for indices: ``first`` is each
+    # key's first row, in key order
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     if len(first) * per_row <= _ROW_EXACT_GEMM_WORK:
         return None
-    inverse = np.empty_like(order)
-    inverse[order] = new.astype(np.intp).cumsum() - 1
     return first, inverse
 
 
@@ -440,10 +425,9 @@ def _conv_param_backward(dout: np.ndarray, x_in: np.ndarray, pad: int):
     n, c_out, oh, ow = dout.shape
     d = _nhwc(dout).reshape(n * oh * ow, c_out)
     rows = _WGRAD_BLOCK * oh * ow
-    cols, _, _ = _im2col(x_in[:_WGRAD_BLOCK], pad)
-    dw = cols.T @ d[:rows]
+    dw = _im2col(x_in[:_WGRAD_BLOCK], pad).T @ d[:rows]
     for start in range(_WGRAD_BLOCK, n, _WGRAD_BLOCK):
-        cols, _, _ = _im2col(x_in[start : start + _WGRAD_BLOCK], pad)
+        cols = _im2col(x_in[start : start + _WGRAD_BLOCK], pad)
         dw += cols.T @ d[start * oh * ow : start * oh * ow + rows]
     db = d.sum(axis=0)
     # the (C_out, C_in, 3, 3) view of dw's (ky, kx, c_in, c_out) memory, the
@@ -554,6 +538,32 @@ def sample_action(policy: np.ndarray, rng: np.random.Generator) -> int:
     probs = np.asarray(policy, dtype=np.float64)
     probs /= probs.sum()
     return int(rng.choice(N_ACTIONS, p=probs))
+
+
+def policy_mover(params: NetworkParams, rngs, reveal=None, argmax=False, on_move=None) -> Callable:
+    """The one ply rule every network move of the package follows, as an
+    ``engine.play_lockstep`` chooser with game i on ``rngs[i]``.
+
+    Each ply calls ``reveal(board, rngs[i])`` on every board in index
+    order (``reveal`` None shows every board in full), runs one
+    ``forward_boards``, then picks per game in index order: the argmax
+    with ``argmax``, which draws nothing, else ``sample_action``. Each
+    pick then goes to ``on_move(i, board, x, policy, value, action)``
+    with the game's row of the trace (a float64 ``policy`` as rescaled).
+    """
+
+    def choose(indices, boards):
+        revealed = None if reveal is None else [reveal(b, rngs[i]) for i, b in zip(indices, boards)]
+        trace = forward_boards(params, boards, revealed)
+        actions = []
+        for i, board, x, policy, value in zip(indices, boards, trace.x, trace.policy, trace.value):
+            action = int(np.argmax(policy)) if argmax else sample_action(policy, rngs[i])
+            if on_move is not None:
+                on_move(i, board, x, policy, value, action)
+            actions.append(action)
+        return actions
+
+    return choose
 
 
 def backward(

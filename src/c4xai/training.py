@@ -14,9 +14,9 @@ games: four full-batch Adam steps on the clipped-surrogate policy loss
 (weight 1.0), squared-error value loss (0.5), and entropy bonus (0.01).
 
 The games of one update are played in lockstep (``engine.play_lockstep``)
-with one batched forward per ply. Each ply draws p_h and the hidden set
-for every running game in game order, runs the forward, then samples the
-actions in game order; so the random stream, and with it every trained
+through ``network.policy_mover``, whose docstring states the ply rule.
+Its reveal draws p_h and the hidden set, and its picks sample, all from
+the one training rng; so the random stream, and with it every trained
 bit, depends on ``update_every``.
 """
 
@@ -134,36 +134,30 @@ def self_play_episode(
 ) -> list:
     """Self-play ``games`` games in lockstep; both sides sample from the policy.
 
-    Every ply draws p_h and the hidden set for each running game in game
-    order, runs one forward on the stacked encodings, then samples the
-    actions in game order. Returns the stored transitions game by game,
-    each game's in ply order with discounted returns filled in. An
-    illegal move yields a single -2 transition for its game and drops
-    the rest of that game.
+    Every ply follows ``network.policy_mover``'s rule with every game on
+    ``rng``; the reveal draws p_h, then the hidden set. Returns the
+    stored transitions game by game, each game's in ply order with
+    discounted returns filled in. An illegal move yields a single -2
+    transition for its game and drops the rest of that game.
     """
     played = [[] for _ in range(games)]
 
-    def choose(indices, boards):
-        reveals = []
-        for board in boards:
-            p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
-            reveals.append(engine.sample_hidden(board, p_h, rng))
-        trace = network.forward_boards(params, boards, reveals)
-        actions = []
-        for i, board, x, policy, value in zip(indices, boards, trace.x, trace.policy, trace.value):
-            action = network.sample_action(policy, rng)
-            played[i].append(
-                Transition(
-                    state=x,
-                    action=action,
-                    prob=float(policy[action]),
-                    value=float(value),
-                    player=board.to_move,
-                )
-            )
-            actions.append(action)
-        return actions
+    def reveal(board, rng):
+        p_h = float(rng.uniform(0.0, config.p_h_max)) if config.p_h_max > 0 else 0.0
+        return engine.sample_hidden(board, p_h, rng)
 
+    def record(i, board, x, policy, value, action):
+        played[i].append(
+            Transition(
+                state=x,
+                action=action,
+                prob=float(policy[action]),
+                value=float(value),
+                player=board.to_move,
+            )
+        )
+
+    choose = network.policy_mover(params, [rng] * games, reveal, on_move=record)
     stored = []
     for transitions, (_, out, offender) in zip(played, engine.play_lockstep(choose, games)):
         if offender is not None:

@@ -1,25 +1,30 @@
-"""Every ``c4xai`` name and command line the demos use exists.
+"""Every ``c4xai`` name and command line the demos and the README use exists.
 
 No test runs ``demos/``, so a renamed or deleted function, option or
 subcommand would break a demo silently. This reads each Python demo's
 syntax tree instead of running it: each ``from c4xai import m`` module
 must have every attribute the demo reads as ``m.attr``, and each
 ``from c4xai[.m] import name`` must exist. Every ``c4xai ...`` command
-of the shell walkthrough must parse with ``cli.build_parser()``.
+of the shell walkthrough must parse with ``cli.build_parser()``. Every
+backticked ``module.name`` of the README must be an attribute of that
+c4xai module, or a span name of the benchmark's tracer.
 """
 
 import ast
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import c4xai
 from c4xai import cli
 
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
-WALKTHROUGH = Path(__file__).parents[1] / "demos" / "cli_walkthrough.sh"
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WALKTHROUGH = ROOT / "demos" / "cli_walkthrough.sh"
 
 
 def missing_names(tree: ast.AST) -> list:
@@ -124,3 +129,52 @@ def test_a_removed_option_is_reported(capsys):
         "curves --checkpoint 0/a.ckpt --fractions 0,1 --no-such-option 2 --out 0/curve.csv"
     ]
     assert "unrecognized arguments: --no-such-option 2" in capsys.readouterr().err
+
+
+MODULES = tuple(module.name for module in pkgutil.iter_modules(c4xai.__path__))
+# a module name, not part of a longer name or a path, optionally after "c4xai."
+DOTTED = re.compile(r"(?<![\w./])(?:c4xai\.)?((?:" + "|".join(MODULES) + r")\.[A-Za-z_]\w*)")
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+
+
+def span_names() -> set:
+    """The ``module.name`` strings that ``perfbench/spans.py`` spells out."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and DOTTED.fullmatch(node.value)
+    }
+
+
+def missing_readme_names(markdown: str, exempt=frozenset()) -> list:
+    """The ``module.name`` references in the code of ``markdown`` (fenced
+    blocks and backticked spans) that name no attribute of that c4xai
+    module and are not in ``exempt``."""
+    code = FENCE.findall(markdown) + re.findall(r"`([^`]+)`", FENCE.sub("", markdown))
+    names = {match.group(1) for text in code for match in DOTTED.finditer(text)}
+    return sorted(
+        name
+        for name in names - set(exempt)
+        if not hasattr(importlib.import_module("c4xai." + name.split(".")[0]), name.split(".")[1])
+    )
+
+
+def test_every_c4xai_name_the_readme_uses_exists():
+    assert {"charfn.eval_mask", "network.backward_params"} <= span_names()
+    assert missing_readme_names((ROOT / "README.md").read_text(), span_names()) == []
+
+
+def test_a_retired_readme_name_is_reported():
+    markdown = (
+        "`mcts.argmax_chooser` plays argmax; `c4xai.mcts.ExternalOracle` and\n"
+        "`network.forward_boards(params, boards)` exist, as the `charfn.eval_mask`\n"
+        "span does; `src/c4xai/engine.py` is a path.\n"
+        "```python\nboard = engine.new_board()\nengine.no_such_rule(board)\n```\n"
+    )
+    assert missing_readme_names(markdown, span_names()) == [
+        "engine.no_such_rule",
+        "mcts.argmax_chooser",
+    ]

@@ -308,7 +308,7 @@ def test_series_plays_each_game_as_it_would_alone(params, opponent):
 
 def test_a_one_game_network_series_plays_as_the_game_alone(params):
     make_agent = partial(harness.masked_policy_mover, params, "gradient", 0.5)
-    make_opponent = lambda _: mcts.argmax_chooser(params)
+    make_opponent = partial(network.policy_mover, params, argmax=True)
     seeds = np.random.SeedSequence(23).spawn(1)
     games = engine.play_series(make_agent, make_opponent, seeds)
     assert games == play_series_one_by_one(make_agent, make_opponent, seeds)

@@ -159,8 +159,7 @@ def test_conv_primitives_ignore_the_memory_layout(c_in, pad, hw, dtype):
     assert np.array_equal(z, network.conv_forward(nhwc_backed(x), w, b, pad))
     # im2col takes NCHW-contiguous memory (at pad 0 too) and batch slices
     for view in (x, nhwc_backed(x), nhwc_backed(x)[1:], nhwc_backed(x)[::2], x[::2]):
-        cols, _, _ = network._im2col(view, pad)
-        assert_same_bits(cols, im2col_reference(view, pad))
+        assert_same_bits(network._im2col(view, pad), im2col_reference(view, pad))
     assert_same_bits(
         network.conv_forward(nhwc_backed(x)[::2], w, b, pad),
         network.conv_forward(np.ascontiguousarray(x[::2]), w, b, pad),
@@ -201,7 +200,7 @@ def input_grad_scatter(dout, w, in_hw, pad):
 def weight_grad_whole_batch_im2col(dout, x_in, pad):
     """The weight gradient that sliced one whole-batch im2col into its blocks."""
     n, c_out, oh, ow = dout.shape
-    cols, _, _ = network._im2col(x_in, pad)
+    cols = network._im2col(x_in, pad)
     d = network._nhwc(dout).reshape(n * oh * ow, c_out)
     rows = network._WGRAD_BLOCK * oh * ow
     dw = cols[:rows].T @ d[:rows]
@@ -251,9 +250,9 @@ CHUNK_BATCHES = (1, 13, 47, 48, 49, 100, 196)
 
 def conv_forward_one_gemm(x, w, b, pad):
     """conv_forward as one GEMM over the whole batch's im2col rows."""
-    cols, oh, ow = network._im2col(x, pad)
-    out = cols @ network._wmat(w)
+    out = network._im2col(x, pad) @ network._wmat(w)
     out += b
+    oh, ow = x.shape[2] + 2 * pad - 2, x.shape[3] + 2 * pad - 2
     return out.reshape(x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
 
 
@@ -1348,3 +1347,54 @@ def test_sample_action_renormalises_float64_policy_in_place():
     float32 = np.full(7, 0.2, dtype=np.float32)
     network.sample_action(float32, np.random.default_rng(5))
     assert float32[0] == np.float32(0.2)
+
+
+class NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the mover drew from an rng ({name})")
+
+
+@pytest.mark.parametrize("argmax", [False, True], ids=["sample", "argmax"])
+def test_policy_mover_reveals_then_forwards_once_then_picks_in_index_order(argmax, monkeypatch):
+    params = make_params(8, seed=6, dtype=np.float32)
+    rngs = [NoDraws() for _ in range(3)] if argmax else [np.random.default_rng(k) for k in range(3)]
+    replay = [np.random.default_rng(k) for k in range(3)]
+    events = []
+    forward_boards = network.forward_boards
+
+    def counted(params, boards, revealed=None):
+        events.append(("forward", len(boards)))
+        return forward_boards(params, boards, revealed)
+
+    def reveal(board, rng):
+        events.append(("reveal", next(k for k, r in enumerate(rngs) if r is rng)))
+        return sorted(board.occupied_cells())[1:]  # hides one piece
+
+    def on_move(i, board, x, policy, value, action):
+        events.append(("move", i, action))
+        assert np.array_equal(x, engine.encode(board, sorted(board.occupied_cells())[1:]))
+        if argmax:
+            assert action == int(np.argmax(policy))
+        else:  # the mover's draws on rngs[i] are its picks alone
+            assert action == network.sample_action(policy, replay[i])
+
+    monkeypatch.setattr(network, "forward_boards", counted)
+    choose = network.policy_mover(params, rngs, reveal, argmax=argmax, on_move=on_move)
+    plies = []
+
+    def ply(indices, boards):
+        start = len(events)
+        actions = choose(indices, boards)
+        plies.append((list(indices), actions, events[start:]))
+        return actions
+
+    engine.play_lockstep(ply, 3)
+    assert len(plies) > 1 and len(plies[0][0]) == 3
+    for indices, actions, ply_events in plies:
+        assert ply_events == (
+            [("reveal", i) for i in indices]
+            + [("forward", len(indices))]
+            + [("move", i, a) for i, a in zip(indices, actions)]
+        )
